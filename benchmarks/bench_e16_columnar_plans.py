@@ -16,7 +16,11 @@ safe plan for ``R(x), S(x,y)`` once, and serves it through both backends:
   **≥ 10× faster** than the row backend (≥ 3× under ``--quick``);
 * the **cold** columnar run (first query against a fresh database, paying
   the one-time dictionary encoding) is reported alongside;
-* both backends are asserted to agree within **1e-9 absolute error**.
+* both backends are asserted to agree within **1e-9 absolute error**;
+* the façade's ``Method.AUTO`` on the same query is asserted **within 1.5×**
+  of the explicit ``Method.SAFE_PLAN`` call: AUTO must take the extensional
+  route on a safe query (the lifted rules ground the separator over the
+  whole domain in interpreted Python — seconds at this size).
 
 Run directly for tables (``--quick`` for the CI smoke variant), or via
 pytest for the assertions. ``BENCH_RESULTS`` carries the machine-readable
@@ -27,6 +31,7 @@ import argparse
 import random
 import time
 
+from repro.core.pdb import Method, ProbabilisticDatabase
 from repro.core.tid import TupleIndependentDatabase
 from repro.logic.cq import parse_cq
 from repro.plans.plan import execute_boolean, project_boolean
@@ -59,12 +64,19 @@ def build_database(
     return db
 
 
+#: AUTO may cost at most this multiple of the explicit safe-plan call.
+AUTO_CEILING = 1.5
+
+
 def serving_comparison(n_keys: int, n_facts: int, rounds: int = 3):
-    """Row vs columnar serving of one safe plan; returns (rows, ratio, diff).
+    """Row vs columnar serving of one safe plan, and AUTO vs the explicit
+    route; returns (rows, ratio, diff, auto_ratio).
 
     Each backend is timed as the best of *rounds* executions of the same
     compiled plan — the repeat-traffic shape the engine session serves. The
     first columnar round doubles as the cold (encode-paying) measurement.
+    The façade rows time ``ProbabilisticDatabase.probability`` end to end
+    (parse, route, plan build, warm columnar execution).
     """
     db = build_database(n_keys, n_facts)
     plan = project_boolean(safe_plan(parse_cq(QUERY), db))
@@ -81,6 +93,17 @@ def serving_comparison(n_keys: int, n_facts: int, rounds: int = 3):
         columnar_probability = execute_boolean_columnar(plan, db)
         columnar_times.append(time.perf_counter() - start)
 
+    pdb = ProbabilisticDatabase(tid=db, backend="columnar")
+    facade = {}
+    for method in (Method.SAFE_PLAN, Method.AUTO):
+        times = []
+        for _ in range(3 * rounds):  # millisecond calls: more rounds, less jitter
+            start = time.perf_counter()
+            pdb.probability(QUERY, method)
+            times.append(time.perf_counter() - start)
+        facade[method] = min(times)
+    auto_ratio = facade[Method.AUTO] / facade[Method.SAFE_PLAN]
+
     row_time = min(row_times)
     cold_time = columnar_times[0]
     warm_time = min(columnar_times[1:])
@@ -92,8 +115,11 @@ def serving_comparison(n_keys: int, n_facts: int, rounds: int = 3):
         ("columnar, cold (incl. encode)", f"{cold_time:.4f}s", f"{columnar_probability:.6f}"),
         ("columnar, warm (memoized scan)", f"{warm_time:.4f}s", f"{columnar_probability:.6f}"),
         ("speedup (rows / columnar warm)", f"{ratio:.1f}x", "-"),
+        ("façade, Method.SAFE_PLAN", f"{facade[Method.SAFE_PLAN]:.4f}s", "-"),
+        ("façade, Method.AUTO", f"{facade[Method.AUTO]:.4f}s", "-"),
+        ("AUTO / SAFE_PLAN", f"{auto_ratio:.2f}x", "-"),
     ]
-    return table, ratio, diff
+    return table, ratio, diff, auto_ratio
 
 
 # -- assertions (pytest / CI smoke) -------------------------------------------
@@ -102,16 +128,17 @@ def serving_comparison(n_keys: int, n_facts: int, rounds: int = 3):
 def test_e16_backends_agree_to_1e9():
     if not available():  # pragma: no cover - numpy is a declared dependency
         return
-    _, _, diff = serving_comparison(n_keys=200, n_facts=10_000)
+    _, _, diff, _ = serving_comparison(n_keys=200, n_facts=10_000)
     assert diff <= 1e-9, f"backends disagree by {diff:.2e}"
 
 
 def test_e16_columnar_at_least_10x_on_1e5_rows():
     if not available():  # pragma: no cover - numpy is a declared dependency
         return
-    _, ratio, diff = serving_comparison(n_keys=2000, n_facts=100_000)
+    _, ratio, diff, auto_ratio = serving_comparison(n_keys=2000, n_facts=100_000)
     assert diff <= 1e-9, f"backends disagree by {diff:.2e}"
     assert ratio >= 10.0, f"columnar only {ratio:.1f}x faster than rows"
+    assert auto_ratio <= AUTO_CEILING, f"AUTO costs {auto_ratio:.2f}x safe-plan"
 
 
 def main() -> None:
@@ -128,7 +155,7 @@ def main() -> None:
     else:
         n_keys, n_facts, floor = 2000, 100_000, 10.0
 
-    table, ratio, diff = serving_comparison(n_keys, n_facts)
+    table, ratio, diff, auto_ratio = serving_comparison(n_keys, n_facts)
     print_table(
         f"E16: safe plan for {QUERY} over |R|={n_keys}, |S|={n_facts:,}",
         ["backend", "time (best of 3)", "probability"],
@@ -137,7 +164,12 @@ def main() -> None:
     print(f"row-vs-columnar |Δp| = {diff:.2e}")
     assert diff <= 1e-9, f"backends disagree by {diff:.2e}"
     assert ratio >= floor, f"columnar only {ratio:.1f}x faster than rows (need {floor}x)"
+    assert auto_ratio <= AUTO_CEILING, (
+        f"AUTO costs {auto_ratio:.2f}x the explicit safe-plan route "
+        f"(ceiling {AUTO_CEILING}x): is it grounding a safe query?"
+    )
     BENCH_RESULTS["e16_columnar_speedup"] = round(ratio, 2)
+    BENCH_RESULTS["e16_auto_over_safe_plan"] = round(auto_ratio, 2)
     BENCH_RESULTS["e16_row_vs_columnar_abs_error"] = diff
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate every experiment table (E1–E18) in one run.
+"""Regenerate every experiment table (E1–E19) in one run.
 
 The per-experiment benchmark modules each expose a ``main()`` that prints
 the paper-shaped series; this driver runs them all in order. EXPERIMENTS.md

@@ -321,6 +321,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if answer.detail:
         print(f"detail      : {answer.detail}")
     if args.stats and answer.stats is not None:
+        if answer.stats.reason:
+            print(f"reason      : {answer.stats.reason}")
         print(f"stage times : {answer.stats.summary()}")
         if answer.stats.backend:
             print(f"backend     : {answer.stats.backend}")

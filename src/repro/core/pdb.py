@@ -1,19 +1,21 @@
 """The public façade: a probabilistic database with strategy dispatch.
 
-``ProbabilisticDatabase.probability(query)`` picks the best inference route
-in decreasing order of asymptotic quality, mirroring the paper's narrative:
+``ProbabilisticDatabase.probability(query)`` first decides from the query's
+structure alone (:meth:`ProbabilisticDatabase.structural_route`, shared with
+the serving ladder), then falls through to grounded inference:
 
-1. **lifted** — the rule engine of Sec. 5 (polynomial, exact; fails exactly
-   on non-liftable queries);
-2. **safe plan** — extensional evaluation inside the relational engine for
-   hierarchical self-join-free CQs (Sec. 6);
+1. **safe plan** — a hierarchical self-join-free CQ runs extensionally inside
+   the relational engine (Sec. 6); a non-hierarchical one is #P-hard (Thm.
+   4.3) and skips to step 3 without trying the lifted rules;
+2. **lifted** — anything else (self-joins, unions, unate sentences) runs the
+   rule engine of Sec. 5 (polynomial, exact; fails exactly when non-liftable);
 3. **dpll** — grounded inference: lineage + exact DPLL model counting with
    caching and components (Sec. 7), when the lineage is small enough;
 4. **karp-luby** — the DNF FPRAS, when the lineage is a positive DNF;
 5. **monte-carlo** — naive sampling with an (ε, δ) additive guarantee.
 
-Each answer records which route fired, carries the lifted rule trace or the
-approximation certificate, and a :class:`~repro.engine.stats.QueryStats`
+Each answer records which route fired and why, carries the rule trace, plan
+profile or approximation certificate, and a :class:`~repro.engine.stats.QueryStats`
 with per-stage wall-times (parse / lineage / compile / count) so that
 ``explain()`` output is uniform across all six routes.
 
@@ -182,6 +184,7 @@ class ProbabilisticDatabase:
                 "probability() takes Boolean queries; use answers() for "
                 "queries with free variables"
             )
+        self.check_arities(parsed)
         answer = self._dispatch(
             parsed, method, stats=stats, lineage_factory=lineage_factory
         )
@@ -193,6 +196,22 @@ class ProbabilisticDatabase:
         stats.route = answer.method.value
         answer.stats = stats
         return answer
+
+    def check_arities(self, parsed) -> None:
+        """Reject an atom whose arity contradicts the stored relation's: the
+        lifted and grounded routes would answer a silent 0.0 where the safe
+        plan raises. An unknown predicate stays an empty relation."""
+        if isinstance(parsed, Formula):
+            atoms: Iterable = parsed.atoms()
+        else:
+            atoms = (a for q in getattr(parsed, "disjuncts", (parsed,)) for a in q.atoms)
+        for atom in atoms:
+            stored = self.tid.relations.get(atom.predicate)
+            if stored is not None and stored.arity != atom.arity:
+                raise ValueError(
+                    f"{atom.predicate} is stored with arity {stored.arity} "
+                    f"but queried with {atom.arity} arguments"
+                )
 
     def _dispatch(
         self,
@@ -223,31 +242,41 @@ class ProbabilisticDatabase:
             return self._brute(parsed, stats=stats)
         raise ValueError(f"unknown method {method}")
 
+    @staticmethod
+    def structural_route(parsed) -> tuple[Optional[Method], str]:
+        """The data-independent half of routing, ``(route, reason)``, where AUTO
+        and the serving ladder's exact rung both start. Theorem 4.3 decides a
+        self-join-free CQ from its shape: hierarchical ⇔ a safe plan exists,
+        otherwise #P-hard — route ``None``, ground it. For anything else the
+        lifted rules themselves are the decision."""
+        if not isinstance(parsed, ConjunctiveQuery) or parsed.has_self_joins():
+            return Method.LIFTED, "self-joins, union or sentence → lifted rules"
+        if not parsed.is_hierarchical():
+            try:
+                safe_plan(parsed)  # fails, naming the subquery that blocks it
+            except UnsafePlanError as error:
+                return None, f"{error} → grounded"
+        return Method.SAFE_PLAN, "hierarchical self-join-free CQ → safe plan"
+
     def _auto(
-        self,
-        parsed,
-        *,
-        stats: Optional[QueryStats] = None,
-        lineage_factory: Optional[LineageFactory] = None,
+        self, parsed, *, stats: QueryStats, lineage_factory: Optional[LineageFactory]
     ) -> QueryAnswer:
-        stats = stats if stats is not None else QueryStats()
-        try:
-            return self._lifted(parsed, stats=stats)
-        except (NonLiftableError, UnsupportedQueryError) as error:
-            blocking = str(getattr(error, "subquery", "") or error)
+        route, stats.reason = self.structural_route(parsed)
+        if route is not None:
+            try:
+                return self._dispatch(parsed, route, stats=stats)
+            except (NonLiftableError, UnsupportedQueryError) as error:
+                stats.reason = f"{error} → grounded"
         lineage = self._get_lineage(parsed, None, lineage_factory, stats)
         if lineage.variable_count <= self.exact_lineage_limit:
             answer = self._dpll(parsed, lineage, stats=stats)
-            answer.detail += f" (lifted failed on: {blocking})"
-            return answer
-        try:
-            answer = self._karp_luby(parsed, lineage, stats=stats)
-            answer.detail += f" (lifted failed on: {blocking})"
-            return answer
-        except FormSizeExceeded:
-            answer = self._monte_carlo(parsed, lineage, stats=stats)
-            answer.detail += f" (lifted failed on: {blocking})"
-            return answer
+        else:
+            try:
+                answer = self._karp_luby(parsed, lineage, stats=stats)
+            except FormSizeExceeded:
+                answer = self._monte_carlo(parsed, lineage, stats=stats)
+        answer.detail += f" (lifted failed: {stats.reason})"
+        return answer
 
     def _lifted(self, parsed, *, stats: Optional[QueryStats] = None) -> QueryAnswer:
         stats = stats if stats is not None else QueryStats()
@@ -536,6 +565,8 @@ def explain_answer(query: Query, answer: QueryAnswer) -> str:
         f"detail       : {answer.detail}",
     ]
     if answer.stats is not None:
+        if answer.stats.reason:
+            lines.append(f"route reason : {answer.stats.reason}")
         lines.append(f"cache hit    : {answer.stats.cache_hit}")
         lines.append(f"stage times  : {answer.stats.summary()}")
         if answer.stats.backend:

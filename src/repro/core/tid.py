@@ -22,6 +22,7 @@ from ..logic.formulas import Formula
 from ..logic.semantics import Fact, satisfies
 from ..logic.transform import COMPLEMENT_SUFFIX, polarity_map
 from ..relational.relation import Relation
+from ..sanitize import SanitizerError, sanitize_enabled
 
 
 @dataclass
@@ -32,6 +33,9 @@ class TupleIndependentDatabase:
     explicit_domain: Optional[frozenset] = None
     _version: int = field(default=0, init=False, repr=False, compare=False)
     _fingerprint_cache: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _domain_cache: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -150,7 +154,19 @@ class TupleIndependentDatabase:
         return self._fingerprint_cache[1]
 
     def domain(self) -> tuple:
-        """The active domain (or the explicit one when set), sorted."""
+        """The active domain (or the explicit one when set), sorted; memoized
+        per ``(version, explicit_domain)`` exactly like :meth:`fingerprint`,
+        so a direct ``Relation.add`` must be announced with :meth:`touch`."""
+        key = (self._version, self.explicit_domain)
+        if self._domain_cache is None or self._domain_cache[0] != key:
+            self._domain_cache = (key, self._scan_domain())
+        elif sanitize_enabled() and self._domain_cache[1] != self._scan_domain():
+            raise SanitizerError(
+                "stale domain() memo: a direct Relation.add/replace lacks its tid.touch()"
+            )
+        return self._domain_cache[1]
+
+    def _scan_domain(self) -> tuple:
         if self.explicit_domain is not None:
             return tuple(sorted(self.explicit_domain, key=repr))
         values: set = set()

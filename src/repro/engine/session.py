@@ -187,6 +187,7 @@ class EngineSession:
 
     def _serve_hit(self, cached: QueryAnswer, stats: QueryStats) -> QueryAnswer:
         stats.route = cached.method.value
+        stats.reason = cached.stats.reason if cached.stats is not None else ""
         stats.cache_hit = True
         self.stats.record(stats)
         return replace(cached, stats=stats)

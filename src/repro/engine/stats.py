@@ -79,6 +79,8 @@ class QueryStats:
     """
 
     route: str = ""
+    #: Why AUTO took this route; empty when the caller named the method.
+    reason: str = ""
     stages: Dict[str, float] = field(default_factory=dict)
     cache_hit: bool = False
     counters: Dict[str, int] = field(default_factory=dict)
@@ -137,6 +139,7 @@ class QueryStats:
         """Multi-line report in the style of ``ProbabilisticDatabase.explain``."""
         lines = [
             f"route        : {self.route or '?'}",
+            *([f"route reason : {self.reason}"] if self.reason else []),
             f"cache hit    : {self.cache_hit}",
             f"stage times  : {self.summary()}",
         ]

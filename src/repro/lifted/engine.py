@@ -70,11 +70,7 @@ class LiftedEngine:
     use_inclusion_exclusion: bool = True
     trace: list[RuleApplication] = field(default_factory=list)
     _memo: dict = field(default_factory=dict, repr=False)
-    _domain: tuple = field(default_factory=tuple, repr=False)
     _in_progress: set = field(default_factory=set, repr=False)
-
-    def __post_init__(self) -> None:
-        self._domain = self.db.domain()
 
     # -- public API -----------------------------------------------------------
 
@@ -123,7 +119,7 @@ class LiftedEngine:
                 "variables " + ", ".join(v.name for v in separator),
             )
             complement = 1.0
-            for value in self._domain:
+            for value in self.db.domain():
                 constant = Const(value)
                 grounded = UnionOfConjunctiveQueries(
                     tuple(
@@ -223,7 +219,7 @@ class LiftedEngine:
         if separator is not None:
             self._record("separator", query, f"variable {separator.name}")
             complement = 1.0
-            for value in self._domain:
+            for value in self.db.domain():
                 grounded = query.substitute({separator: Const(value)})
                 complement *= 1.0 - self._cq(grounded)
             result = 1.0 - complement

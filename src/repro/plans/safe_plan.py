@@ -33,7 +33,7 @@ class UnsafePlanError(ValueError):
 
 
 class CostModel:
-    """Cardinality estimates for join ordering, from one database snapshot.
+    """Cardinality estimates for join ordering, read lazily from the database.
 
     Uses the textbook uniform-distribution model: a group of atoms joins to
     roughly the product of its relation cardinalities, divided by the
@@ -44,11 +44,10 @@ class CostModel:
     """
 
     def __init__(self, db: "TupleIndependentDatabase"):
-        self.sizes = {name: len(rel) for name, rel in db.relations.items()}
-        self.domain_size = max(1, len(db.domain()))
+        self.db = db
 
     def atom_cardinality(self, atom: Atom) -> int:
-        return self.sizes.get(atom.predicate, 0)
+        return len(self.db.relations.get(atom.predicate, ()))
 
     def group_cardinality(self, atoms: tuple[Atom, ...]) -> float:
         estimate = 1.0
@@ -61,7 +60,9 @@ class CostModel:
                     repeats += 1
                 else:
                     seen.add(var)
-        return estimate / (self.domain_size ** repeats)
+        if repeats:  # the (memoized) domain is only needed for equality predicates
+            estimate /= max(1, len(self.db.domain())) ** repeats
+        return estimate
 
 
 def safe_plan(
@@ -117,8 +118,8 @@ def _build(
     ]
     if not residual_roots:
         raise UnsafePlanError(
-            f"connected subquery {', '.join(map(str, group))} has no root "
-            "variable — the query is not hierarchical"
+            f"no root variable in {', '.join(map(str, group))} — the query "
+            "is not hierarchical"
         )
     root = residual_roots[0]
     inner = _build(group, keep | {root}, model)

@@ -5,7 +5,8 @@ the best answer however long it takes. The :class:`MethodLadder` instead
 walks a fixed ladder of rungs, best guarantee first, and takes the first
 rung whose *predicted* cost fits the request's remaining deadline:
 
-1. ``exact`` — lifted inference when the query is liftable (polynomial),
+1. ``exact`` — the polynomial route the query's structure admits
+   (``ProbabilisticDatabase.structural_route``: safe plan or lifted rules),
    else grounded DPLL when the lineage is small enough. Guarantee: the
    exact probability.
 2. ``bounds`` — the dissociation sandwich of Theorem 6.1
@@ -254,6 +255,11 @@ class MethodLadder:
             return False
         return predicted is None or predicted <= remaining
 
+    def _parse(self, query: str, qfp: str) -> Any:
+        if self.use_cache:
+            return self.session._parse_cached(query, qfp)
+        return self.pdb.parse_query(query)
+
     def _query_answer(self, query: str, method: Method) -> QueryAnswer:
         if self.use_cache:
             return self.session.query(query, method)
@@ -384,27 +390,27 @@ class MethodLadder:
     def _try_exact(
         self, query: str, qfp: str, start: float, deadline_s: Optional[float]
     ) -> Optional[RungAnswer]:
-        # Lifted: polynomial when applicable, so attempt it unless history
-        # says this query is not liftable or its observed cost overruns.
-        if not self.predictor.known_inapplicable(qfp, "lifted"):
+        # The polynomial route the query's structure admits: AUTO's decision.
+        # Only the lifted rules can still get stuck, which history remembers.
+        parsed = self._parse(query, qfp)
+        self.pdb.check_arities(parsed)
+        route, reason = self.pdb.structural_route(parsed)
+        if route is not None and not self.predictor.known_inapplicable(qfp, route.value):
             remaining = self._remaining(start, deadline_s)
-            if self._fits(self.predictor.predict(qfp, "lifted"), remaining):
+            if self._fits(self.predictor.predict(qfp, route.value), remaining):
                 attempt = time.perf_counter()
                 try:
-                    answer = self._query_answer(query, Method.LIFTED)
+                    answer = self._query_answer(query, route)
                 except (NonLiftableError, UnsupportedQueryError):
-                    self.predictor.mark_inapplicable(qfp, "lifted")
+                    self.predictor.mark_inapplicable(qfp, route.value)
                 else:
-                    self.predictor.observe(
-                        qfp, "lifted", time.perf_counter() - attempt
-                    )
+                    self.predictor.observe(qfp, route.value, time.perf_counter() - attempt)
                     return self._exact_answer(answer)
         # Grounded DPLL: exponential worst case; gate on the lineage size
         # (predicted) and on observed history (actual overruns learned).
-        lineage = self.session.lineage(query) if self.use_cache else None
-        if lineage is None:
-            parsed = self.pdb.parse_query(query)
-            lineage = self.pdb._lineage(parsed)
+        lineage = (
+            self.session.lineage(query) if self.use_cache else self.pdb._lineage(parsed)
+        )
         variable_count = int(getattr(lineage, "variable_count", 0))
         if variable_count > self.pdb.exact_lineage_limit:
             return None  # predicted overrun: lineage too large for exact
@@ -414,6 +420,8 @@ class MethodLadder:
         attempt = time.perf_counter()
         answer = self._query_answer(query, Method.DPLL)
         self.predictor.observe(qfp, "dpll", time.perf_counter() - attempt)
+        if route is None:  # say why no polynomial route was tried
+            answer = replace(answer, detail=f"{answer.detail} ({reason})")
         return self._exact_answer(answer)
 
     def _exact_answer(self, answer: QueryAnswer) -> RungAnswer:
@@ -438,7 +446,7 @@ class MethodLadder:
         predicted = self.predictor.predict(qfp, "bounds")
         if remaining is not None and not self._fits(predicted, remaining):
             return None
-        parsed = self.pdb.parse_query(query)
+        parsed = self._parse(query, qfp)
         if not isinstance(parsed, ConjunctiveQuery) or parsed.has_self_joins():
             self.predictor.mark_inapplicable(qfp, "bounds")
             return None

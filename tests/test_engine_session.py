@@ -326,7 +326,7 @@ def test_session_report_counts(session):
     session.query("R(x), S(x,y)")
     report = session.report()
     assert "1 hits / 1 misses" in report
-    assert "lifted" in report
+    assert "safe-plan" in report
     assert session.stats.hit_rate == 0.5  # prodb-lint: exact
 
 

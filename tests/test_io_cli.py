@@ -84,7 +84,7 @@ def test_cli_query(csv_dir, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "probability" in out
-    assert "lifted" in out
+    assert "safe-plan" in out
 
 
 def test_cli_query_sentence(csv_dir, capsys):

@@ -27,7 +27,7 @@ def test_parse_query_routes():
 
 def test_auto_uses_lifted_for_safe_query(pdb):
     answer = pdb.probability("R(x), S(x,y)")
-    assert answer.method is Method.LIFTED
+    assert answer.method is Method.SAFE_PLAN
     assert answer.exact
 
 
@@ -115,7 +115,7 @@ def test_answers_rejects_unknown_head(pdb):
 
 def test_explain_contains_method(pdb):
     text = pdb.explain("R(x), S(x,y)")
-    assert "lifted" in text
+    assert "safe-plan" in text
     assert "probability" in text
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.tid import TupleIndependentDatabase
 from repro.engine.session import EngineSession
 from repro.obs import MetricsRegistry
 from repro.server import ServerClient, ServerConfig, ServerThread, http_get
@@ -53,8 +54,8 @@ def small_tid():
     return db
 
 
-def _server(mode: str, **overrides):
-    session = EngineSession(small_tid(), seed=11)
+def _server(mode: str, tid=None, **overrides):
+    session = EngineSession(tid if tid is not None else small_tid(), seed=11)
     options = {
         "workers": 2,
         "mode": mode,
@@ -161,6 +162,43 @@ def test_process_error_responses_match_threads(threads_server, process_server):
         assert not pooled["ok"] and not reference["ok"]
         assert pooled["error"] == reference["error"] == expected
         assert pooled["message"] == reference["message"]
+
+
+def test_ladder_serves_safe_point_query_by_safe_plan_in_both_modes():
+    """A safe point query on a database past the columnar threshold takes
+    the extensional route on the exact rung — not the lifted engine's
+    domain-wide grounding — and the envelope is the same in both modes."""
+    big = TupleIndependentDatabase()
+    for i in range(100):
+        big.add_fact("R", (f"k{i}",), 0.5 + i / 400)
+        for j in range(50):
+            big.add_fact("S", (f"k{i}", f"v{j}"), 0.1 + ((i * j) % 80) / 100)
+    assert big.fact_count() >= 5000
+    answers = []
+    for mode in ("threads", "processes"):
+        with _server(mode, tid=big.copy(), workers=1) as server:
+            with ServerClient("127.0.0.1", server.port) as client:
+                answers.append(client.query("R(x), S(x,'v7')"))
+    threads, processes = answers
+    assert threads["method"] == "safe-plan" and threads["rung"] == "exact"
+    assert "columnar" in threads["detail"]
+    assert _strip(processes) == _strip(threads)
+    assert processes["detail"] == threads["detail"]
+    expected = 1.0
+    for i in range(100):
+        expected *= 1.0 - (0.5 + i / 400) * (0.1 + ((i * 7) % 80) / 100)
+    assert abs(threads["probability"] - (1.0 - expected)) <= 1e-9
+
+
+def test_schema_error_is_bad_request_in_both_modes(threads_server, process_server):
+    for method in ("ladder", "auto", "dpll", "lifted"):
+        payload = {"query": "R(x,y), S(x,y)", "method": method}
+        with ServerClient("127.0.0.1", threads_server.port) as client:
+            reference = client.request(dict(payload))
+        with ServerClient("127.0.0.1", process_server.port) as client:
+            pooled = client.request(dict(payload))
+        assert reference["error"] == pooled["error"] == "bad_request", method
+        assert "arity 1" in reference["message"] == pooled["message"]
 
 
 # -- routing ------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro.core.tid import TupleIndependentDatabase
 from repro.logic.parser import parse
 from repro.logic.transform import COMPLEMENT_SUFFIX
+from repro.sanitize import SanitizerError, prodb_sanitize
 
 from conftest import close
 
@@ -36,6 +37,42 @@ def test_domain_active_vs_explicit():
     assert db.domain() == ("a",)
     db.explicit_domain = frozenset(("a", "b", "c"))
     assert db.domain() == ("a", "b", "c")
+
+
+def test_domain_is_memoized_until_the_next_mutation():
+    db = TupleIndependentDatabase()
+    db.add_fact("R", ("a",), 0.5)
+    first = db.domain()
+    assert db.domain() is first
+    db.add_fact("R", ("b",), 0.5)
+    second = db.domain()
+    assert second == ("a", "b") and db.domain() is second
+    db.set_fact("S", ("c", "a"), 0.5)
+    third = db.domain()
+    assert third == ("a", "b", "c") and db.domain() is third
+    db.explicit_domain = frozenset(("a", "z"))
+    assert db.domain() == ("a", "z")
+    db.explicit_domain = None
+    assert db.domain() == third
+    # copies and derived databases start without a memo
+    assert db.copy().domain() == third and db.copy().domain() is not third
+
+
+def test_stale_domain_memo_is_caught_by_the_sanitizer():
+    db = TupleIndependentDatabase()
+    db.add_fact("R", ("a",), 0.5)
+    db.domain()
+    db.relations["R"].add(("b",), 0.5)  # direct mutation, no touch()
+    previous = prodb_sanitize(False)
+    try:
+        assert db.domain() == ("a",)  # stale, silently: why touch() is required
+        prodb_sanitize(True)
+        with pytest.raises(SanitizerError, match=r"touch\(\)"):
+            db.domain()
+        db.touch()
+        assert db.domain() == ("a", "b")
+    finally:
+        prodb_sanitize(previous)
 
 
 def test_possible_worlds_probabilities_sum_to_one(small_db):

@@ -377,21 +377,30 @@ class ProbabilisticDatabase:
         counter = DPLLCounter()
         with stats.stage("count"):
             result = counter.run(lineage.expr, lineage.probabilities())
+        counted = result.statistics
         stats.counters.update(
-            kernel_unique_nodes=result.statistics.kernel_unique_nodes,
-            kernel_intern_hits=result.statistics.kernel_intern_hits,
-            cofactor_memo_hits=result.statistics.cofactor_memo_hits,
-            cofactor_memo_misses=result.statistics.cofactor_memo_misses,
+            kernel_unique_nodes=counted.kernel_unique_nodes,
+            kernel_intern_hits=counted.kernel_intern_hits,
+            cofactor_memo_hits=counted.cofactor_memo_hits,
+            cofactor_memo_misses=counted.cofactor_memo_misses,
         )
+        kernel = f"{counted.cofactor_memo_hits} cofactor-memo hits"
+        if counted.path == "clause":
+            stats.counters.update(
+                clause_expansions=counted.shannon_expansions,
+                clause_or_splits=counted.or_splits,
+                clause_cache_hits=counted.cache_hits,
+            )
+            kernel = "kernel bypassed: no cofactor-memo hits"
         return QueryAnswer(
             result.probability,
             Method.DPLL,
             exact=True,
             detail=(
                 f"grounded: {lineage.variable_count} lineage variables, "
-                f"{result.statistics.shannon_expansions} Shannon expansions, "
-                f"{result.statistics.cache_hits} cache hits, "
-                f"{result.statistics.cofactor_memo_hits} cofactor-memo hits"
+                f"{counted.path} path: {counted.shannon_expansions} Shannon "
+                f"expansions, {counted.or_splits} or-splits, "
+                f"{counted.cache_hits} cache hits, {kernel}"
             ),
         )
 
@@ -481,6 +490,7 @@ class ProbabilisticDatabase:
         shared = QueryStats(route=Method.DPLL.value)
         with shared.stage("parse"):
             parsed = parse_cq(query) if isinstance(query, str) else query
+        self.check_arities(parsed)
         head_vars = tuple(Var(h) if isinstance(h, str) else h for h in head)
         missing = set(head_vars) - parsed.variables
         if missing:
@@ -514,6 +524,7 @@ class ProbabilisticDatabase:
         from ..kc.differentiate import differentiate
 
         parsed = self.parse_query(query)
+        self.check_arities(parsed)
         lineage = self._lineage(parsed)
         probabilities = lineage.probabilities()
         from ..wmc.dpll import compile_decision_dnnf
@@ -536,6 +547,7 @@ class ProbabilisticDatabase:
         from ..wmc.dpll import compile_decision_dnnf
 
         parsed = self.parse_query(query)
+        self.check_arities(parsed)
         lineage = self._lineage(parsed)
         probabilities = lineage.probabilities()
         compiled = compile_decision_dnnf(lineage.expr, probabilities)

@@ -165,6 +165,7 @@ def parallel_answers(
     stats = stats if stats is not None else QueryStats()
     with stats.stage("parse"):
         parsed = parse_cq(query) if isinstance(query, str) else query
+    pdb.check_arities(parsed)
     head_vars = tuple(Var(h) if isinstance(h, str) else h for h in head)
     missing = set(head_vars) - parsed.variables
     if missing:

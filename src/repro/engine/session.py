@@ -323,6 +323,7 @@ class EngineSession:
         tid_fp = self.tid.fingerprint()
         qfp = query_fingerprint(query)
         parsed = self._parse_cached(query, qfp)
+        self.pdb.check_arities(parsed)
         lineage = self._lineage_factory(tid_fp, qfp)(parsed)
         # Key the circuit by the lineage — interned expression plus its
         # variable→fact binding — not the query text: distinct spellings

@@ -1,5 +1,7 @@
 """Routing edge cases for the façade's AUTO strategy."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,3 +201,26 @@ def test_arity_mismatch_is_a_value_error_on_every_route(pdb, method):
         pdb.probability("T(x) | R(x,y), S(x,y)", method)
     # an unknown predicate is an empty relation, not a schema error
     assert pdb.probability("R(x), Nope(x,y)", method).probability == 0.0  # prodb-lint: exact
+
+
+# The entry points past probability(): without the check they answered {},
+# ZeroDivisionError("P(F) = 0") and "circuit is unsatisfiable".
+
+
+def test_answers_rejects_arity_mismatch(pdb):
+    session = EngineSession(pdb)
+    for answers in (pdb.answers, session.answers, partial(session.answers, parallel=True)):
+        with pytest.raises(ValueError, match="R is stored with arity 1"):
+            answers("R(x,y), S(x,y)", ["x"])
+
+
+def test_tuple_posteriors_rejects_arity_mismatch(pdb):
+    for posteriors in (pdb.tuple_posteriors, EngineSession(pdb).tuple_posteriors):
+        with pytest.raises(ValueError, match="R is stored with arity 1"):
+            posteriors("R(x,y), S(x,y)")
+
+
+def test_most_probable_world_rejects_arity_mismatch(pdb):
+    for world in (pdb.most_probable_world, EngineSession(pdb).most_probable_world):
+        with pytest.raises(ValueError, match="R is stored with arity 1"):
+            world("R(x,y), S(x,y)")

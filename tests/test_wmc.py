@@ -143,16 +143,12 @@ def test_trace_components_produce_and_nodes():
     assert close(result.probability, brute_force_wmc(f, P))
 
 
-def test_or_components_option_rejected_with_trace():
-    counter = DPLLCounter(record_trace=True, use_or_components=True)
-    with pytest.raises(ValueError):
-        counter.run(bor(x, y), P)
-
-
 def test_or_components_probability_correct():
-    f = bor(band(x, y), z)
-    counter = DPLLCounter(use_or_components=True)
-    assert close(counter.run(f, P).probability, brute_force_wmc(f, P))
+    # the default counter splits variable-disjoint disjuncts on both paths
+    for f, path in ((bor(band(x, y), z), "clause"), (bor(band(x, bnot(y)), z), "general")):
+        result = DPLLCounter().run(f, P)
+        assert close(result.probability, brute_force_wmc(f, P))
+        assert (result.statistics.path, result.statistics.or_splits) == (path, 1)
 
 
 # -- Monte Carlo ------------------------------------------------------------------

@@ -171,10 +171,12 @@ class ScenarioManager:
     ) -> str:
         """Record a scenario id without compiling its circuit.
 
-        The processes-mode parent registers specs only — the compile lives
-        on the scenario's ring-owner worker — but still needs the id table
-        for ``constraints_of`` (shipping specs with routed queries),
-        ``/healthz`` occupancy and idempotent drops.
+        The server's front door registers every scenario its evaluator
+        installed — in processes mode the compile lives on the scenario's
+        ring-owner worker — and needs the id table for ``constraints_of``
+        (shipping specs with routed queries), ``/healthz`` occupancy and
+        idempotent drops. Only a newly recorded id counts as an install:
+        an id :meth:`install` already recorded was counted there.
         """
         gamma = (
             constraints
@@ -184,9 +186,11 @@ class ScenarioManager:
         db_fp = self.pdb.tid.fingerprint()
         scenario_id = scenario_id_of(db_fp, gamma)
         with self._lock:
-            if scenario_id not in self._installed:
+            recorded = scenario_id not in self._installed
+            if recorded:
                 self._installed[scenario_id] = _Installed(db_fp, gamma)
-        self._installs.inc()
+        if recorded:
+            self._installs.inc()
         return scenario_id
 
     def drop(self, scenario_id: str) -> bool:

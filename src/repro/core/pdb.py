@@ -30,7 +30,7 @@ how the session shares its content-addressed lineage cache with dispatch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -118,6 +118,12 @@ class ProbabilisticDatabase:
     seed: Optional[int] = None
     backend: str = "auto"
 
+    def settings(self) -> dict:
+        """Every field but the data, as picklable keyword arguments: a worker
+        process rebuilds an equal façade as ``ProbabilisticDatabase(tid=...,
+        **settings)``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "tid"}
+
     # -- data definition -----------------------------------------------------
 
     def add_relation(self, name: str, attributes: Sequence[str]):
@@ -167,6 +173,7 @@ class ProbabilisticDatabase:
         *,
         stats: Optional[QueryStats] = None,
         lineage_factory: Optional[LineageFactory] = None,
+        backend: Optional[str] = None,
     ) -> QueryAnswer:
         """Evaluate a Boolean query; see the module docstring for routing.
 
@@ -174,7 +181,8 @@ class ProbabilisticDatabase:
         record (the engine session passes one that already holds cache
         lookup time); otherwise a fresh one is created. *lineage_factory*
         overrides how routes obtain the grounded lineage — the session uses
-        it to serve lineages from its content-addressed cache.
+        it to serve lineages from its content-addressed cache. *backend*
+        overrides :attr:`backend` for this call only.
         """
         stats = stats if stats is not None else QueryStats()
         with stats.stage("parse"):
@@ -186,7 +194,11 @@ class ProbabilisticDatabase:
             )
         self.check_arities(parsed)
         answer = self._dispatch(
-            parsed, method, stats=stats, lineage_factory=lineage_factory
+            parsed,
+            method,
+            stats=stats,
+            lineage_factory=lineage_factory,
+            backend=backend,
         )
         # Sanitizer (no-op unless REPRO_SANITIZE=1): every route must
         # return a probability.
@@ -220,14 +232,17 @@ class ProbabilisticDatabase:
         *,
         stats: Optional[QueryStats] = None,
         lineage_factory: Optional[LineageFactory] = None,
+        backend: Optional[str] = None,
     ) -> QueryAnswer:
         stats = stats if stats is not None else QueryStats()
         if method is Method.AUTO:
-            return self._auto(parsed, stats=stats, lineage_factory=lineage_factory)
+            return self._auto(
+                parsed, stats=stats, lineage_factory=lineage_factory, backend=backend
+            )
         if method is Method.LIFTED:
             return self._lifted(parsed, stats=stats)
         if method is Method.SAFE_PLAN:
-            return self._safe_plan(parsed, stats=stats)
+            return self._safe_plan(parsed, stats=stats, backend=backend)
         if method is Method.DPLL:
             return self._dpll(parsed, stats=stats, lineage_factory=lineage_factory)
         if method is Method.KARP_LUBY:
@@ -259,12 +274,17 @@ class ProbabilisticDatabase:
         return Method.SAFE_PLAN, "hierarchical self-join-free CQ → safe plan"
 
     def _auto(
-        self, parsed, *, stats: QueryStats, lineage_factory: Optional[LineageFactory]
+        self,
+        parsed,
+        *,
+        stats: QueryStats,
+        lineage_factory: Optional[LineageFactory],
+        backend: Optional[str],
     ) -> QueryAnswer:
         route, stats.reason = self.structural_route(parsed)
         if route is not None:
             try:
-                return self._dispatch(parsed, route, stats=stats)
+                return self._dispatch(parsed, route, stats=stats, backend=backend)
             except (NonLiftableError, UnsupportedQueryError) as error:
                 stats.reason = f"{error} → grounded"
         lineage = self._get_lineage(parsed, None, lineage_factory, stats)
@@ -296,21 +316,23 @@ class ProbabilisticDatabase:
             lifted_trace=trace,
         )
 
-    def plan_backend(self) -> str:
-        """The extensional backend the safe-plan route will actually use."""
-        if self.backend not in BACKENDS:
+    def plan_backend(self, backend: Optional[str] = None) -> str:
+        """The extensional backend the safe-plan route will actually use for
+        *backend* (default: :attr:`backend`)."""
+        backend = backend if backend is not None else self.backend
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
         from ..plans import vectorized
 
-        if self.backend == "columnar":
+        if backend == "columnar":
             if not vectorized.available():
                 raise RuntimeError(
                     "backend='columnar' requires numpy, which is not importable"
                 )
             return "columnar"
-        if self.backend == "rows":
+        if backend == "rows":
             return "rows"
         if (
             vectorized.available()
@@ -319,13 +341,19 @@ class ProbabilisticDatabase:
             return "columnar"
         return "rows"
 
-    def _safe_plan(self, parsed, *, stats: Optional[QueryStats] = None) -> QueryAnswer:
+    def _safe_plan(
+        self,
+        parsed,
+        *,
+        stats: Optional[QueryStats] = None,
+        backend: Optional[str] = None,
+    ) -> QueryAnswer:
         stats = stats if stats is not None else QueryStats()
         if not isinstance(parsed, ConjunctiveQuery):
             raise UnsafePlanError("safe plans apply to conjunctive queries")
         with stats.stage("compile"):
             plan = safe_plan(parsed, self.tid)
-        backend = self.plan_backend()
+        backend = self.plan_backend(backend)
         stats.backend = backend
         with stats.stage("count"):
             if backend == "columnar":

@@ -76,10 +76,10 @@ def run_batch(
 _WORKER_PDB: Optional[ProbabilisticDatabase] = None
 
 
-def _init_worker(facts: list, domain: Optional[tuple], options: dict) -> None:
+def _init_worker(facts: list, domain: Optional[tuple], settings: dict) -> None:
     global _WORKER_PDB
     tid = TupleIndependentDatabase.from_facts(facts, domain)
-    _WORKER_PDB = ProbabilisticDatabase(tid=tid, **options)
+    _WORKER_PDB = ProbabilisticDatabase(tid=tid, **settings)
 
 
 def _eval_in_worker(item: tuple[str, str]) -> QueryAnswer:
@@ -113,13 +113,6 @@ def _run_process_batch(
     pdb = session.pdb
     facts = list(pdb.tid.facts())
     domain = pdb.tid.explicit_domain
-    options = {
-        "exact_lineage_limit": pdb.exact_lineage_limit,
-        "mc_epsilon": pdb.mc_epsilon,
-        "mc_delta": pdb.mc_delta,
-        "seed": pdb.seed,
-        "backend": pdb.backend,
-    }
     workers = default_workers(
         max_workers if max_workers is not None else os.cpu_count(), len(queries)
     )
@@ -127,7 +120,7 @@ def _run_process_batch(
         max_workers=workers,
         mp_context=mp_context(),
         initializer=_init_worker,
-        initargs=(facts, domain, options),
+        initargs=(facts, domain, pdb.settings()),
     ) as pool:
         answers = list(pool.map(_eval_in_worker, [(q, method.value) for q in queries]))
     # Merge results into the parent's cache so follow-up traffic hits warm.

@@ -17,9 +17,9 @@ Boolean answer          ``("answer", tid_fp, query_fp, method, backend)``
 per-answer marginals    ``("answers", tid_fp, query_fp·head)``
 ======================  =====================================================
 
-Answers are cached **per-backend**: the configured extensional backend
-(``ProbabilisticDatabase.backend``) is part of the answer key, so a
-session that switches between the row and columnar executors keeps their
+Answers are cached **per-backend**: the extensional backend in effect
+(``query(..., backend=...)``, else ``ProbabilisticDatabase.backend``) is
+part of the answer key, so the row and columnar executors keep their
 entries separate.
 
 ``tid_fp`` is the database's content hash
@@ -134,22 +134,31 @@ class EngineSession:
 
     # -- Boolean queries -------------------------------------------------------
 
-    def query(self, query: Query, method: Method = Method.AUTO) -> QueryAnswer:
+    def query(
+        self,
+        query: Query,
+        method: Method = Method.AUTO,
+        *,
+        backend: Optional[str] = None,
+    ) -> QueryAnswer:
         """Evaluate a Boolean query, serving repeats from the cache.
 
         Cache hits return the memoized answer (numerically identical to
         the cold evaluation) with a fresh stats record flagging the hit.
+        *backend* overrides the database's extensional backend for this
+        call only — concurrent callers never see each other's choice.
         """
+        backend = backend if backend is not None else self.pdb.backend
         stats = QueryStats()
         with stats.stage("lookup"):
             tid_fp = self.tid.fingerprint()
             qfp = query_fingerprint(query)
-            key = ("answer", tid_fp, qfp, method.value, self.pdb.backend)
+            key = ("answer", tid_fp, qfp, method.value, backend)
             cached = self.cache.get(key)
         if cached is not None:
             return self._serve_hit(cached, stats)
         owner, answer = self._compute_once(
-            key, lambda: self._evaluate(query, method, tid_fp, qfp, stats)
+            key, lambda: self._evaluate(query, method, tid_fp, qfp, stats, backend)
         )
         if not owner:
             # Another worker computed this key while we waited on its
@@ -193,7 +202,13 @@ class EngineSession:
         return replace(cached, stats=stats)
 
     def _evaluate(
-        self, query: Query, method: Method, tid_fp: str, qfp: str, stats: QueryStats
+        self,
+        query: Query,
+        method: Method,
+        tid_fp: str,
+        qfp: str,
+        stats: QueryStats,
+        backend: str,
     ) -> QueryAnswer:
         parsed = self._parse_cached(query, qfp)
         return self.pdb.probability(
@@ -201,6 +216,7 @@ class EngineSession:
             method,
             stats=stats,
             lineage_factory=self._lineage_factory(tid_fp, qfp),
+            backend=backend,
         )
 
     def _compute_once(

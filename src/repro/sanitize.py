@@ -24,9 +24,9 @@ What is audited when enabled:
 * **kernel unique-table consistency** — each interned node is stored under
   exactly the key its structure dictates, and the table holds no aliases;
 * **lock ordering** — the engine's locks carry ranks
-  (:data:`RANK_WORKER_POOL` < :data:`RANK_SERVER` < :data:`RANK_SCENARIO`
-  < :data:`RANK_INFLIGHT` < :data:`RANK_CACHE` < :data:`RANK_STATS`
-  < :data:`RANK_INTERNER` < :data:`RANK_METRICS`) and a
+  (:data:`RANK_WORKER_POOL` < :data:`RANK_WORKER_PIPE` < :data:`RANK_SERVER`
+  < :data:`RANK_SCENARIO` < :data:`RANK_INFLIGHT` < :data:`RANK_CACHE`
+  < :data:`RANK_STATS` < :data:`RANK_INTERNER` < :data:`RANK_METRICS`) and a
   :class:`RankedLock`
   refuses acquisition out of rank order, turning a potential deadlock into
   an immediate :class:`LockOrderError`;
@@ -68,6 +68,7 @@ __all__ = [
     "RANK_SCENARIO",
     "RANK_SERVER",
     "RANK_STATS",
+    "RANK_WORKER_PIPE",
     "RANK_WORKER_POOL",
     "RaceDetector",
     "RankedLock",
@@ -280,6 +281,10 @@ def audit_kernel(manager: Any = None, force: bool = False) -> int:
 #: futures whose callbacks re-enter server-ranked code, so pool locks must
 #: never be held while a server lock is taken, only the other way around.
 RANK_WORKER_POOL = 3
+#: Rank of each worker pipe's send lock (:mod:`repro.server.pool`): held
+#: only across the sends to that one worker, never with another lock
+#: taken inside it.
+RANK_WORKER_PIPE = 4
 #: Rank of server-side locks (:mod:`repro.server`): cost-predictor and
 #: other request-path state. Server locks may be held only for short
 #: container operations, never across a call into the engine session —

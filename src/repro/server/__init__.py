@@ -1,6 +1,6 @@
 """Serving layer: a query server over one shared engine session.
 
-Three cooperating pieces:
+Four cooperating pieces:
 
 * :mod:`repro.server.protocol` — the NDJSON wire format and validation;
 * :mod:`repro.server.ladder` — deadline-driven method degradation
@@ -9,11 +9,13 @@ Three cooperating pieces:
 * :mod:`repro.server.service` — the asyncio server with request
   coalescing, admission control and graceful drain, plus the HTTP shim
   (``POST /query``, ``POST /condition``, ``DELETE /condition/<id>``,
-  ``GET /healthz``, ``GET /metrics``);
-* :mod:`repro.server.pool` — the multi-process mode: shared-memory
+  ``GET /healthz``, ``GET /metrics``); its ``evaluate`` function shapes
+  every answer in both serving modes;
+* :mod:`repro.server.pool` — the multi-process evaluator: shared-memory
   columnar shards published once, N spawned workers attached read-only,
-  consistent-hash routing for cache affinity, crash requeue-or-shed with
-  optional auto-respawn.
+  one duplex pipe each, consistent-hash routing for cache affinity, and
+  crashes seen on process sentinels, requeued or shed, optionally
+  respawned.
 
 Conditioning rides the same protocol: ``op: condition`` installs a
 constraint set as a server-side scenario (compiled once), queries naming
@@ -26,7 +28,7 @@ and guarantee catalog.
 
 from .client import ServerClient, http_get, http_request
 from .ladder import CostPredictor, MethodLadder, RungAnswer
-from .pool import WorkerOptions, WorkerPool
+from .pool import WorkerPool
 from .protocol import (
     ConditionRequest,
     DropConditionRequest,
@@ -54,7 +56,6 @@ __all__ = [
     "ServerClient",
     "ServerConfig",
     "ServerThread",
-    "WorkerOptions",
     "WorkerPool",
     "decode_request",
     "encode",

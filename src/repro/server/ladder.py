@@ -203,6 +203,7 @@ class MethodLadder:
         delta: Optional[float] = None,
         scenario: Optional[ConditionedScenario] = None,
         scenario_id: Optional[str] = None,
+        backend: Optional[str] = None,
     ) -> RungAnswer:
         """Answer *query*, naming the rung and the guarantee it carries.
 
@@ -210,6 +211,8 @@ class MethodLadder:
         *deadline_s*; any engine route name evaluates that route directly
         (still reporting rung/guarantee uniformly). With *scenario* the
         answer is ``P(Q | Γ)`` through the conditioned rungs instead.
+        *backend* overrides the session's extensional backend for this
+        evaluation only; the shared session is never written.
         """
         start = time.perf_counter()
         eps = epsilon if epsilon is not None else self.default_epsilon
@@ -220,14 +223,14 @@ class MethodLadder:
             )
             return self._finish(answer, start, deadline_s)
         if method != "ladder":
-            answer = self._direct(query, Method(method))
+            answer = self._direct(query, Method(method), backend)
             return self._finish(answer, start, deadline_s)
         qfp = query_fingerprint(query)
 
-        exact = self._try_exact(query, qfp, start, deadline_s)
+        exact = self._try_exact(query, qfp, start, deadline_s, backend)
         if exact is not None:
             return self._finish(exact, start, deadline_s)
-        bounded = self._try_bounds(query, qfp, start, deadline_s)
+        bounded = self._try_bounds(query, qfp, start, deadline_s, backend)
         if bounded is not None:
             return self._finish(bounded, start, deadline_s)
         sampled = self._sampled(query, qfp, eps, dlt)
@@ -241,6 +244,17 @@ class MethodLadder:
         elapsed = time.perf_counter() - start
         exceeded = deadline_s is not None and elapsed > deadline_s
         return replace(answer, elapsed_s=elapsed, deadline_exceeded=exceeded)
+
+    def _cached(self, key: tuple) -> Optional[RungAnswer]:
+        """A rung answer this ladder stored under *key*, flagged as a hit."""
+        cached = self.session.cache.get(key) if self.use_cache else None
+        if not isinstance(cached, RungAnswer):
+            return None
+        return replace(cached, cache_hit=True)
+
+    def _remember(self, key: tuple, answer: RungAnswer) -> None:
+        if self.use_cache:
+            self.session.cache.put(key, answer)
 
     def _remaining(self, start: float, deadline_s: Optional[float]) -> Optional[float]:
         if deadline_s is None:
@@ -260,13 +274,15 @@ class MethodLadder:
             return self.session._parse_cached(query, qfp)
         return self.pdb.parse_query(query)
 
-    def _query_answer(self, query: str, method: Method) -> QueryAnswer:
+    def _query_answer(
+        self, query: str, method: Method, backend: Optional[str]
+    ) -> QueryAnswer:
         if self.use_cache:
-            return self.session.query(query, method)
-        return self.pdb.probability(query, method)
+            return self.session.query(query, method, backend=backend)
+        return self.pdb.probability(query, method, backend=backend)
 
-    def _direct(self, query: str, method: Method) -> RungAnswer:
-        answer = self._query_answer(query, method)
+    def _direct(self, query: str, method: Method, backend: Optional[str]) -> RungAnswer:
+        answer = self._query_answer(query, method, backend)
         if answer.exact:
             rung, guarantee = "exact", "exact probability (no approximation)"
         elif answer.method is Method.KARP_LUBY:
@@ -319,11 +335,9 @@ class MethodLadder:
         )
         pfp = f"{qfp}|{skey}"  # predictor key: costs are per (query, scenario)
         exact_key = ("ladder", skey, qfp, "cond-exact")
-        if self.use_cache:
-            cached = self.session.cache.get(exact_key)
-            if cached is not None:
-                assert isinstance(cached, RungAnswer)
-                return replace(cached, cache_hit=True)
+        cached = self._cached(exact_key)
+        if cached is not None:
+            return cached
         # Exact: gate on the grounded lineage size like the DPLL rung (Γ
         # itself already counted at install; the gate bounds Q's side).
         fits_exact = (
@@ -337,17 +351,14 @@ class MethodLadder:
             attempt = time.perf_counter()
             answer = self._conditioned_rung(scenario.posterior(query), scenario_id)
             self.predictor.observe(pfp, "cond-exact", time.perf_counter() - attempt)
-            if self.use_cache:
-                self.session.cache.put(exact_key, answer)
+            self._remember(exact_key, answer)
             return answer
         sampled_key = (
             "ladder", skey, qfp, "cond-sampled", epsilon, delta, self.pdb.seed,
         )
-        if self.use_cache:
-            cached = self.session.cache.get(sampled_key)
-            if cached is not None:
-                assert isinstance(cached, RungAnswer)
-                return replace(cached, cache_hit=True)
+        cached = self._cached(sampled_key)
+        if cached is not None:
+            return cached
         attempt = time.perf_counter()
         try:
             conditioned = scenario.sample_posterior(
@@ -359,13 +370,11 @@ class MethodLadder:
             # it overruns; the predictor learns the observed cost).
             answer = self._conditioned_rung(scenario.posterior(query), scenario_id)
             self.predictor.observe(pfp, "cond-exact", time.perf_counter() - attempt)
-            if self.use_cache:
-                self.session.cache.put(exact_key, answer)
+            self._remember(exact_key, answer)
             return answer
         answer = self._conditioned_rung(conditioned, scenario_id)
         self.predictor.observe(pfp, "cond-sampled", time.perf_counter() - attempt)
-        if self.use_cache:
-            self.session.cache.put(sampled_key, answer)
+        self._remember(sampled_key, answer)
         return answer
 
     def _conditioned_rung(
@@ -388,7 +397,12 @@ class MethodLadder:
     # -- rung 1: exact --------------------------------------------------------
 
     def _try_exact(
-        self, query: str, qfp: str, start: float, deadline_s: Optional[float]
+        self,
+        query: str,
+        qfp: str,
+        start: float,
+        deadline_s: Optional[float],
+        backend: Optional[str],
     ) -> Optional[RungAnswer]:
         # The polynomial route the query's structure admits: AUTO's decision.
         # Only the lifted rules can still get stuck, which history remembers.
@@ -400,7 +414,7 @@ class MethodLadder:
             if self._fits(self.predictor.predict(qfp, route.value), remaining):
                 attempt = time.perf_counter()
                 try:
-                    answer = self._query_answer(query, route)
+                    answer = self._query_answer(query, route, backend)
                 except (NonLiftableError, UnsupportedQueryError):
                     self.predictor.mark_inapplicable(qfp, route.value)
                 else:
@@ -418,7 +432,7 @@ class MethodLadder:
         if not self._fits(self.predictor.predict(qfp, "dpll"), remaining):
             return None
         attempt = time.perf_counter()
-        answer = self._query_answer(query, Method.DPLL)
+        answer = self._query_answer(query, Method.DPLL, backend)
         self.predictor.observe(qfp, "dpll", time.perf_counter() - attempt)
         if route is None:  # say why no polynomial route was tried
             answer = replace(answer, detail=f"{answer.detail} ({reason})")
@@ -438,7 +452,12 @@ class MethodLadder:
     # -- rung 2: dissociation bounds ------------------------------------------
 
     def _try_bounds(
-        self, query: str, qfp: str, start: float, deadline_s: Optional[float]
+        self,
+        query: str,
+        qfp: str,
+        start: float,
+        deadline_s: Optional[float],
+        backend: Optional[str],
     ) -> Optional[RungAnswer]:
         if self.predictor.known_inapplicable(qfp, "bounds"):
             return None
@@ -455,13 +474,11 @@ class MethodLadder:
             self.session.tid.fingerprint(),
             qfp,
             "bounds",
-            self.pdb.backend,
+            backend if backend is not None else self.pdb.backend,
         )
-        if self.use_cache:
-            cached = self.session.cache.get(cache_key)
-            if cached is not None:
-                assert isinstance(cached, RungAnswer)
-                return replace(cached, cache_hit=True)
+        cached = self._cached(cache_key)
+        if cached is not None:
+            return cached
         from ..plans.bounds import extensional_bounds
 
         attempt = time.perf_counter()
@@ -490,8 +507,7 @@ class MethodLadder:
             lower=result.lower,
             upper=result.upper,
         )
-        if self.use_cache:
-            self.session.cache.put(cache_key, answer)
+        self._remember(cache_key, answer)
         return answer
 
     # -- rung 3: seeded sampling ----------------------------------------------
@@ -508,11 +524,9 @@ class MethodLadder:
             delta,
             self.pdb.seed,
         )
-        if self.use_cache:
-            cached = self.session.cache.get(cache_key)
-            if cached is not None:
-                assert isinstance(cached, RungAnswer)
-                return replace(cached, cache_hit=True)
+        cached = self._cached(cache_key)
+        if cached is not None:
+            return cached
         lineage = self.session.lineage(query) if self.use_cache else None
         if lineage is None:
             parsed = self.pdb.parse_query(query)
@@ -565,6 +579,5 @@ class MethodLadder:
                 samples=estimate_kl.samples,
             )
         self.predictor.observe(qfp, "sampled", time.perf_counter() - attempt)
-        if self.use_cache:
-            self.session.cache.put(cache_key, answer)
+        self._remember(cache_key, answer)
         return answer

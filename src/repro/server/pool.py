@@ -4,9 +4,11 @@ The thread-pool serving mode is GIL-bound: one cold exact computation
 occupies the whole interpreter. This module scales out instead — N
 ``spawn``/``forkserver`` worker processes, each owning a private
 :class:`~repro.engine.session.EngineSession` over the **same** bytes:
-the parent publishes the database once as shared-memory columnar shards
+the pool publishes the database once as shared-memory columnar shards
 (:mod:`repro.relational.shm`) and every worker attaches read-only,
-zero-copy.
+zero-copy. A worker answers through the same
+:func:`~repro.server.service.evaluate` / ``install`` functions as the
+thread pool, so both modes shape every payload identically.
 
 Routing is a consistent-hash ring over
 ``(db_fingerprint, query_fingerprint)``: a given query always lands on
@@ -15,57 +17,71 @@ pool's aggregate cache capacity is the *sum* of the per-worker caches
 rather than N copies of one. When a worker dies the ring re-routes only
 the keys it owned.
 
-Crash semantics: the response-reader thread notices a dead worker (its
-process stops answering ``is_alive()``), fails it out of the ring, and
-re-queues each of its in-flight requests **once** onto a surviving
-worker; a request that already used its retry — or that finds no
-survivors — is settled with an explicit ``overloaded`` error. A killed
-worker therefore never yields a hung or corrupted reply, only a served
-or explicitly-shed one.
+Transport: each worker owns one duplex ``Pipe``. A worker is sent a
+message only while it is idle — the parent keeps each worker's backlog
+and sends the next request once the previous one is answered — so no
+send ever waits on a busy worker's full pipe. One reader thread runs
+``multiprocessing.connection.wait`` over every live connection and every
+process ``sentinel``.
 
-Self-healing: unless constructed with ``restart=False``, a crashed
-worker is respawned with capped exponential backoff (first retry after
-``restart_backoff_s``, doubling up to ``restart_backoff_max_s``; the
-backoff never resets, so a flapping worker keeps slowing down). The
-replacement attaches the same shared shards, re-joins the ring on its
-``ready`` message, and transparently re-installs any conditioning
-scenario the next routed query names (query messages carry the full
-constraint specs). ``server_worker_restarts_total`` counts successful
-respawns; ``/healthz`` reflects them via the per-worker ``restarts``
-field and flips back from ``degraded`` once the replacement is up.
+Crash semantics: a worker's death wakes the reader through its sentinel
+(or the end-of-file on its pipe) when it happens; only that worker's
+pipe goes down. The reader fails it out of the ring and re-queues each
+of its requests **once** onto a surviving worker; a request that already
+used its retry — or that finds no survivors — is settled with an
+explicit ``overloaded`` error. A killed worker therefore never yields a
+hung or corrupted reply, only a served or explicitly-shed one.
 
-Lock discipline: the single internal lock ranks
+Self-healing: with ``ServerConfig.restart_workers`` (the default) a
+crashed worker is respawned with capped exponential backoff (first retry
+after 0.5 s, doubling up to 30 s; the backoff never resets, so a
+flapping worker keeps slowing down). The replacement attaches the same
+shared shards, re-joins the ring on its ``ready`` message, and
+transparently re-installs any conditioning scenario the next routed
+query names (query messages carry the full constraint specs).
+``server_worker_restarts_total`` counts successful respawns; ``/healthz``
+reflects them via the per-worker ``restarts`` field and flips back from
+``degraded`` once the replacement is up.
+
+Lock discipline: the pool lock ranks
 :data:`~repro.sanitize.RANK_WORKER_POOL` — below every server and engine
-lock — and is held only for table/ring bookkeeping, never across queue
-operations that can block or while settling futures.
+lock — and guards the worker table, ring and pending requests; it is
+never held across a send or while settling futures. Each worker's pipe
+lock (:data:`~repro.sanitize.RANK_WORKER_PIPE`) serializes the sends to
+that one worker.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import queue as queue_module
 import signal
 import threading
 import time
 from bisect import bisect_right, insort
+from collections import deque
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Connection, wait
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cache import query_fingerprint
+from ..engine.session import EngineSession
 from ..obs import MetricsRegistry, get_registry
-from ..relational.shm import DatabaseHandle, attach
-from ..sanitize import RANK_WORKER_POOL, RankedLock, audited_dict
+from ..relational.shm import DatabaseHandle, attach, publish
+from ..sanitize import RANK_WORKER_PIPE, RANK_WORKER_POOL, RankedLock, audited_dict
 from .protocol import ErrorCode, ProtocolError, QueryRequest
+from .service import ServerConfig, evaluate, install
 
-__all__ = ["WorkerOptions", "WorkerPool"]
+__all__ = ["WorkerPool"]
 
-#: Worker-side idle poll / heartbeat period, seconds.
+#: Worker-side idle heartbeat period; also the reader's longest sleep.
 _HEARTBEAT_S = 0.5
 
-#: Parent-side response poll period, seconds (also bounds crash latency).
-_POLL_S = 0.1
+#: How long :meth:`WorkerPool.start` waits for every worker to serve.
+_START_TIMEOUT_S = 60.0
+
+#: Respawn backoff: first delay and cap, seconds.
+_RESTART_BACKOFF_S = (0.5, 30.0)
 
 #: How many times a request orphaned by a worker crash is re-queued
 #: before it is shed with ``overloaded``.
@@ -81,143 +97,29 @@ _MERGED_GAUGES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class WorkerOptions:
-    """Picklable per-worker engine/ladder configuration."""
-
-    cache_size: int = 256
-    seed: Optional[int] = None
-    backend: Optional[str] = None
-    exact_lineage_limit: int = 40
-    mc_epsilon: float = 0.02
-    mc_delta: float = 0.05
-    use_cache: bool = True
-    default_epsilon: float = 0.2
-    default_delta: float = 0.05
-    default_deadline_s: Optional[float] = None
-    scenario_cache_size: int = 32
-
-
 # -- worker process ----------------------------------------------------------
 
 
-def _error_payload(code: ErrorCode, error: BaseException) -> Dict[str, Any]:
-    return {
-        "ok": False,
-        "error": code.value,
-        "message": f"{type(error).__name__}: {error}",
-    }
-
-
-def _evaluate_in_worker(
-    ladder: Any,
-    options: WorkerOptions,
-    fields: Dict[str, Any],
-    scenarios: Any = None,
-    specs: Optional[List[str]] = None,
-) -> Dict[str, Any]:
-    """Mirror of ``QueryServer._evaluate``: run the ladder, shape the payload.
-
-    Errors become error *payloads* (not exceptions): the parent settles
-    the future with whatever comes back, keeping responses byte-identical
-    to the in-process path where ``ProtocolError`` takes the same shape.
-    *specs* carries the scenario's constraint specs so a worker that never
-    saw the install (fresh, or restarted after a crash) conditions
-    transparently.
-    """
-    from ..condition.core import InconsistentConstraints
-    from ..condition.session import StaleScenarioError, UnknownScenarioError
-
-    request = QueryRequest(**fields)
-    scenario = None
-    if request.scenario is not None:
-        try:
-            if request.force:
-                scenario = scenarios.derived(
-                    request.scenario, dict(request.force), specs=specs
-                )
-            else:
-                scenario = scenarios.resolve(request.scenario, specs=specs)
-        except UnknownScenarioError as error:
-            return _error_payload(ErrorCode.UNKNOWN_SCENARIO, error)
-        except StaleScenarioError as error:
-            return _error_payload(ErrorCode.STALE_SCENARIO, error)
-        except InconsistentConstraints as error:
-            return _error_payload(ErrorCode.UNSATISFIABLE, error)
-        except (ValueError, NotImplementedError) as error:
-            return _error_payload(ErrorCode.BAD_REQUEST, error)
-    pdb = ladder.session.pdb
-    previous_backend = pdb.backend
-    if request.backend is not None:
-        pdb.backend = request.backend
-    try:
-        deadline_s = (
-            request.deadline_ms / 1e3
-            if request.deadline_ms is not None
-            else options.default_deadline_s
-        )
-        answer = ladder.evaluate(
-            request.query,
-            method=request.method,
-            deadline_s=deadline_s,
-            epsilon=request.epsilon,
-            delta=request.delta,
-            scenario=scenario,
-            scenario_id=request.scenario,
-        )
-    except (ValueError, NotImplementedError) as error:
-        return _error_payload(ErrorCode.BAD_REQUEST, error)
-    except Exception as error:  # noqa: BLE001 - worker boundary
-        return _error_payload(ErrorCode.INTERNAL, error)
-    finally:
-        pdb.backend = previous_backend
-    payload = answer.to_payload()
-    payload["elapsed_ms"] = round(answer.elapsed_s * 1e3, 3)
-    return payload
-
-
-def _condition_in_worker(scenarios: Any, specs: List[str]) -> Dict[str, Any]:
-    """Install a constraint set in this worker; shape the install payload."""
-    from ..condition.core import InconsistentConstraints
-
-    try:
-        scenario_id, scenario = scenarios.install(specs)
-    except InconsistentConstraints as error:
-        return _error_payload(ErrorCode.UNSATISFIABLE, error)
-    except (ValueError, NotImplementedError) as error:
-        return _error_payload(ErrorCode.BAD_REQUEST, error)
-    except Exception as error:  # noqa: BLE001 - worker boundary
-        return _error_payload(ErrorCode.INTERNAL, error)
-    return {
-        "ok": True,
-        "scenario": scenario_id,
-        "constraints": scenario.constraints.specs(),
-        "gamma_probability": scenario.gamma_probability,
-        "scenario_facts": scenario.variable_count,
-    }
-
-
 def _worker_main(
-    index: int,
     handle: DatabaseHandle,
-    options: WorkerOptions,
-    request_queue: Any,
-    response_queue: Any,
+    config: ServerConfig,
+    settings: Dict[str, Any],
+    conn: Connection,
 ) -> None:
     """Entry point of one worker process.
 
     Attaches the shared shards, builds a private session + ladder, then
-    serves its request queue; idle gaps emit heartbeats carrying this
-    process's metrics snapshot so the parent can merge them.
+    answers its pipe until told to stop or the parent goes away; idle gaps
+    send heartbeats carrying this process's metrics snapshot so the parent
+    can merge them.
     """
     # A terminal Ctrl-C signals the whole foreground process group; the
-    # parent owns the drain (stop sentinels after in-flight work settles),
+    # parent owns the drain (stop messages after in-flight work settles),
     # so workers must not die mid-request with a KeyboardInterrupt.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    pid = os.getpid()
     try:
         from ..condition.session import ScenarioManager
-        from ..engine.session import EngineSession
+        from ..core.pdb import ProbabilisticDatabase
         from ..plans.vectorized import seed_scan_cache
         from .ladder import MethodLadder
 
@@ -225,27 +127,18 @@ def _worker_main(
         db = shards.to_tid()  # fingerprint-verified against the handle
         seed_scan_cache(db, shards.columnar)
         session = EngineSession(
-            db,
-            cache_size=options.cache_size,
-            seed=options.seed,
-            backend=options.backend,
+            ProbabilisticDatabase(tid=db, **settings),
+            cache_size=config.worker_cache_size or 0,  # resolved by the pool
         )
-        session.pdb.exact_lineage_limit = options.exact_lineage_limit
-        session.pdb.mc_epsilon = options.mc_epsilon
-        session.pdb.mc_delta = options.mc_delta
         ladder = MethodLadder(
             session,
-            use_cache=options.use_cache,
-            default_epsilon=options.default_epsilon,
-            default_delta=options.default_delta,
+            use_cache=config.coalesce,
+            default_epsilon=config.default_epsilon,
+            default_delta=config.default_delta,
         )
-        scenarios = ScenarioManager(
-            session.pdb, maxsize=options.scenario_cache_size
-        )
+        scenarios = ScenarioManager(session.pdb, maxsize=config.scenario_cache_size)
     except BaseException as error:  # noqa: BLE001 - report, then die
-        response_queue.put(
-            {"kind": "failed", "worker": index, "pid": pid, "message": repr(error)}
-        )
+        conn.send({"kind": "failed", "message": repr(error)})
         raise
     registry = get_registry()
 
@@ -258,46 +151,40 @@ def _worker_main(
         scenarios.publish_metrics()
         return registry.snapshot()
 
-    response_queue.put({"kind": "ready", "worker": index, "pid": pid})
-    while True:
-        try:
-            message = request_queue.get(timeout=_HEARTBEAT_S)
-        except queue_module.Empty:
-            response_queue.put(
+    try:
+        conn.send({"kind": "ready"})
+        while True:
+            if not conn.poll(_HEARTBEAT_S):
+                conn.send({"kind": "heartbeat", "metrics": snapshot()})
+                continue
+            message = conn.recv()
+            op = message["op"]
+            if op == "stop":
+                return
+            if op == "drop":
+                # Fire-and-forget: the parent already answered the client.
+                scenarios.drop(message["scenario"])
+                continue
+            if op == "condition":
+                payload = install(scenarios, message["specs"])
+            else:
+                payload = evaluate(
+                    ladder,
+                    scenarios,
+                    message["request"],
+                    message["specs"],
+                    config.default_deadline_s,
+                )
+            conn.send(
                 {
-                    "kind": "heartbeat",
-                    "worker": index,
-                    "pid": pid,
+                    "kind": "answer",
+                    "seq": message["seq"],
+                    "payload": payload,
                     "metrics": snapshot(),
                 }
             )
-            continue
-        op = message.get("op")
-        if op == "stop":
-            break
-        if op == "drop":
-            # Fire-and-forget: the parent already answered the client.
-            scenarios.drop(str(message.get("scenario", "")))
-            continue
-        if op == "condition":
-            payload = _condition_in_worker(scenarios, list(message["specs"]))
-        else:
-            payload = _evaluate_in_worker(
-                ladder,
-                options,
-                message["request"],
-                scenarios,
-                message.get("specs"),
-            )
-        response_queue.put(
-            {
-                "kind": "answer",
-                "worker": index,
-                "seq": message["seq"],
-                "payload": payload,
-                "metrics": snapshot(),
-            }
-        )
+    except (EOFError, OSError):
+        return  # the parent is gone: nobody is left to answer
 
 
 # -- consistent hashing ------------------------------------------------------
@@ -312,12 +199,11 @@ def _ring_hash(key: str) -> int:
 class _HashRing:
     """A deterministic consistent-hash ring over worker indices."""
 
-    def __init__(self, replicas: int = _RING_REPLICAS) -> None:
-        self._replicas = replicas
+    def __init__(self) -> None:
         self._points: List[Tuple[int, int]] = []  # sorted (hash, worker)
 
     def add(self, worker: int) -> None:
-        for replica in range(self._replicas):
+        for replica in range(_RING_REPLICAS):
             insort(self._points, (_ring_hash(f"worker:{worker}:{replica}"), worker))
 
     def remove(self, worker: int) -> None:
@@ -341,11 +227,16 @@ class _Worker:
 
     index: int
     process: Any
-    request_queue: Any
-    pid: Optional[int] = None
-    alive: bool = True
-    depth: int = 0  # submitted but not yet answered
-    last_seen: float = 0.0
+    #: The parent's end of the worker's pipe; None once the worker is reaped.
+    conn: Optional[Connection]
+    send_lock: RankedLock = field(
+        default_factory=lambda: RankedLock(RANK_WORKER_PIPE, "server.pool.pipe")
+    )
+    #: Messages not yet sent: the worker gets the next one when idle.
+    backlog: Deque[Dict[str, Any]] = field(default_factory=deque)
+    busy: bool = False  # a sent request is not answered yet
+    alive: bool = False  # in the ring: ready received, not reaped since
+    last_seen: float = field(default_factory=time.monotonic)
     metrics: Optional[Dict[str, float]] = None
     restarts: int = 0  # successful respawns (ready received)
     respawn_at: Optional[float] = None  # monotonic deadline for next respawn
@@ -363,151 +254,111 @@ class _Pending:
 
 
 class WorkerPool:
-    """N worker processes over shared shards, with affinity routing.
+    """``config.workers`` worker processes over the session's database,
+    published as shared shards, with affinity routing.
 
-    ``submit`` returns a :class:`concurrent.futures.Future` resolved by
-    the response-reader thread; the front door wraps it with
-    ``asyncio.wrap_future``. All public methods are thread-safe.
+    The :class:`~repro.server.service.Evaluator` of processes mode: its
+    futures are resolved by the reader thread, and all public methods are
+    thread-safe. Workers rebuild the façade from
+    :meth:`~repro.core.pdb.ProbabilisticDatabase.settings`; their caches
+    hold ``config.worker_cache_size`` entries (default: the session's).
     """
 
     def __init__(
         self,
-        handle: DatabaseHandle,
-        workers: int,
+        session: EngineSession,
+        config: ServerConfig,
         *,
-        options: Optional[WorkerOptions] = None,
         registry: Optional[MetricsRegistry] = None,
-        start_timeout_s: float = 60.0,
-        restart: bool = True,
-        restart_backoff_s: float = 0.5,
-        restart_backoff_max_s: float = 30.0,
     ) -> None:
-        if workers < 1:
+        if config.workers < 1:
             raise ValueError("worker pool needs at least one worker")
-        self.handle = handle
-        self.options = options if options is not None else WorkerOptions()
+        if config.worker_cache_size is None:
+            config = replace(config, worker_cache_size=session.cache.maxsize)
+        self.config = config
         self.registry = registry if registry is not None else get_registry()
-        self._start_timeout_s = start_timeout_s
-        self._restart = restart
-        self._restart_backoff_s = restart_backoff_s
-        self._restart_backoff_max_s = restart_backoff_max_s
+        self._tid = session.tid
+        self._settings = session.pdb.settings()
+        self._shards: Any = None
         self._lock = RankedLock(RANK_WORKER_POOL, "server.pool")
         self._workers: List[_Worker] = []
         self._pending: Dict[int, _Pending] = audited_dict("pool.pending")
         self._ring = _HashRing()
         self._seq = 0
-        self._started = False
         self._stopping = False
         self._context: Any = None
-        self._response_queue: Any = None
         self._reader: Optional[threading.Thread] = None
-        self._requested = workers
+        self._up = threading.Event()  # every worker served once, or one failed
+        self._failure: Optional[str] = None
         reg = self.registry
-        self._m_crashes = reg.counter(
-            "server_worker_crashes_total", "worker processes found dead"
-        )
+        self._m_crashes = reg.counter("server_worker_crashes_total", "worker processes found dead")
         self._m_restarts = reg.counter(
-            "server_worker_restarts_total",
-            "crashed workers successfully respawned",
+            "server_worker_restarts_total", "crashed workers successfully respawned"
         )
         self._m_requeued = reg.counter(
             "server_requeued_total", "orphaned requests re-queued after a crash"
         )
-        self._m_alive: List[Any] = []
-        self._m_depth: List[Any] = []
-        self._m_beat_age: List[Any] = []
-        for index in range(workers):
-            self._m_alive.append(
-                reg.gauge(
-                    f"server_worker_{index}_alive",
-                    f"1 while worker {index}'s process is alive",
-                )
-            )
-            self._m_depth.append(
-                reg.gauge(
-                    f"server_worker_{index}_queue_depth",
-                    f"requests submitted to worker {index} and not yet answered",
-                )
-            )
-            self._m_beat_age.append(
-                reg.gauge(
-                    f"server_worker_{index}_heartbeat_age_seconds",
-                    f"seconds since worker {index} last reported in",
-                )
-            )
+        #: Per-worker gauges, keyed like the ``/healthz`` worker fields.
+        self._m_workers = [
+            {
+                "alive": reg.gauge(
+                    f"server_worker_{i}_alive", f"1 while worker {i}'s process is alive"
+                ),
+                "queue_depth": reg.gauge(
+                    f"server_worker_{i}_queue_depth",
+                    f"requests submitted to worker {i} and not yet answered",
+                ),
+                "heartbeat_age_s": reg.gauge(
+                    f"server_worker_{i}_heartbeat_age_seconds",
+                    f"seconds since worker {i} last reported in",
+                ),
+            }
+            for i in range(config.workers)
+        ]
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the workers and wait until every one is serving."""
-        if self._started:
+        """Publish the shards, spawn the workers, wait until all serve."""
+        if self._context is not None:
             raise RuntimeError("worker pool already started")
-        self._started = True
         from ..engine.batch import mp_context
 
-        context = mp_context()
-        self._context = context
-        self._response_queue = context.Queue()
-        now = time.monotonic()
-        for index in range(self._requested):
-            request_queue, process = self._spawn(index)
+        self._context = mp_context()
+        try:
+            self._shards = publish(self._tid)
+            spawned = [_Worker(i, *self._spawn(i)) for i in range(self.config.workers)]
             with self._lock:
-                self._workers.append(
-                    _Worker(index, process, request_queue, last_seen=now)
-                )
-        ready: set[int] = set()
-        deadline = time.monotonic() + self._start_timeout_s
-        while len(ready) < self._requested:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self.shutdown()
+                self._workers.extend(spawned)
+            self._reader = threading.Thread(
+                target=self._read, name="prodb-pool-reader", daemon=True
+            )
+            self._reader.start()
+            if not self._up.wait(_START_TIMEOUT_S):
                 raise RuntimeError(
-                    f"worker pool: only {len(ready)}/{self._requested} workers "
-                    f"came up within {self._start_timeout_s:g}s"
+                    f"worker pool: not every worker came up within {_START_TIMEOUT_S:g}s"
                 )
-            try:
-                message = self._response_queue.get(timeout=min(remaining, _POLL_S * 5))
-            except queue_module.Empty:
-                continue
-            if message.get("kind") == "failed":
-                self.shutdown()
-                raise RuntimeError(
-                    f"worker {message.get('worker')} failed to start: "
-                    f"{message.get('message')}"
-                )
-            if message.get("kind") == "ready":
-                index = int(message["worker"])
-                ready.add(index)
-                with self._lock:
-                    worker = self._workers[index]
-                    worker.pid = int(message["pid"])
-                    worker.last_seen = time.monotonic()
-                    self._ring.add(index)
-        self._reader = threading.Thread(
-            target=self._drain_responses, name="prodb-pool-reader", daemon=True
-        )
-        self._reader.start()
+            if self._failure is not None:
+                raise RuntimeError(self._failure)
+        except BaseException:
+            self.shutdown()
+            raise
 
-    def _spawn(self, index: int) -> Tuple[Any, Any]:
-        """Create and start one worker process with a fresh request queue."""
-        request_queue = self._context.Queue()
+    def _spawn(self, index: int) -> Tuple[Any, Connection]:
+        """Start one worker process on a fresh pipe; returns it and our end."""
+        conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
-            args=(
-                index,
-                self.handle,
-                self.options,
-                request_queue,
-                self._response_queue,
-            ),
+            args=(self._shards.handle, self.config, self._settings, child_conn),
             name=f"prodb-pool-{index}",
             daemon=True,
         )
         process.start()
-        return request_queue, process
+        child_conn.close()  # the worker's end lives on in the worker only
+        return process, conn
 
-    def shutdown(self, timeout_s: float = 10.0) -> None:
-        """Stop the workers, settle unanswered futures, join everything."""
+    def shutdown(self) -> None:
+        """Stop the workers, settle unanswered futures, free the shards."""
         with self._lock:
             if self._stopping:
                 return
@@ -518,20 +369,12 @@ class WorkerPool:
             # attached by audited_dict().
             self._pending.clear()
         for entry in orphans:
-            if not entry.future.done():
-                entry.future.set_exception(
-                    ProtocolError(
-                        ErrorCode.SHUTTING_DOWN,
-                        "server is draining; retry elsewhere",
-                    )
-                )
+            entry.future.set_exception(
+                ProtocolError(ErrorCode.SHUTTING_DOWN, "server is draining; retry elsewhere")
+            )
         for worker in workers:
-            if worker.process.is_alive():
-                try:
-                    worker.request_queue.put({"op": "stop"})
-                except (ValueError, OSError):  # pragma: no cover - queue closed
-                    pass
-        deadline = time.monotonic() + timeout_s
+            self._send(worker, worker.conn, [{"op": "stop"}])
+        deadline = time.monotonic() + 10.0
         for worker in workers:
             worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():  # pragma: no cover - stuck worker
@@ -540,19 +383,15 @@ class WorkerPool:
         if self._reader is not None and self._reader is not threading.current_thread():
             self._reader.join(timeout=5.0)
         for worker in workers:
-            worker.request_queue.cancel_join_thread()
-            worker.request_queue.close()
-        if self._response_queue is not None:
-            self._response_queue.cancel_join_thread()
-            self._response_queue.close()
+            self._close(worker)
+        if self._shards is not None:
+            self._shards.unlink()
+            self._shards = None
 
     # -- submission ------------------------------------------------------------
 
     def submit(
-        self,
-        request: QueryRequest,
-        *,
-        specs: Optional[List[str]] = None,
+        self, request: QueryRequest, specs: Optional[Sequence[str]]
     ) -> "Future[Dict[str, Any]]":
         """Route *request* to its affinity worker; resolve via the reader.
 
@@ -562,45 +401,35 @@ class WorkerPool:
         or restarted workers re-condition transparently).
         """
         if request.scenario is not None:
-            key = f"{self.handle.fingerprint}|scenario:{request.scenario}"
+            key = self._scenario_key(request.scenario)
         else:
-            key = f"{self.handle.fingerprint}|{query_fingerprint(request.query)}"
-        message: Dict[str, Any] = {"op": "query", "request": asdict(request)}
-        if specs is not None:
-            message["specs"] = list(specs)
-        return self._submit_message(key, message)
+            key = f"{self._shards.handle.fingerprint}|{query_fingerprint(request.query)}"
+        return self._route(key, {"op": "query", "request": request, "specs": specs})
 
     def submit_condition(
-        self, scenario_id: str, specs: List[str]
+        self, scenario_id: str, specs: Sequence[str]
     ) -> "Future[Dict[str, Any]]":
         """Install a constraint set on the scenario's ring owner."""
-        key = f"{self.handle.fingerprint}|scenario:{scenario_id}"
-        message: Dict[str, Any] = {
-            "op": "condition",
-            "scenario": scenario_id,
-            "specs": list(specs),
-        }
-        return self._submit_message(key, message)
+        message = {"op": "condition", "specs": list(specs)}
+        return self._route(self._scenario_key(scenario_id), message)
 
-    def broadcast_drop(self, scenario_id: str) -> None:
+    def drop(self, scenario_id: str) -> None:
         """Tell every live worker to forget a scenario (fire-and-forget)."""
         with self._lock:
-            if self._stopping:
-                return
-            targets = [
-                worker for worker in self._workers
-                if worker.alive and worker.process.is_alive()
-            ]
+            targets = [w for w in self._workers if w.alive and not self._stopping]
+            for worker in targets:
+                worker.backlog.append({"op": "drop", "scenario": scenario_id})
         for worker in targets:
-            try:
-                worker.request_queue.put({"op": "drop", "scenario": scenario_id})
-            except (ValueError, OSError):  # pragma: no cover - queue closed
-                pass
+            self._pump(worker)
 
-    def _submit_message(
-        self, key: str, message: Dict[str, Any]
-    ) -> "Future[Dict[str, Any]]":
+    def _scenario_key(self, scenario_id: str) -> str:
+        return f"{self._shards.handle.fingerprint}|scenario:{scenario_id}"
+
+    def _route(self, key: str, message: Dict[str, Any]) -> "Future[Dict[str, Any]]":
         future: "Future[Dict[str, Any]]" = Future()
+        # Claimed up front: a waiter can no longer cancel it under the
+        # reader thread, which settles it exactly once.
+        future.set_running_or_notify_cancel()
         with self._lock:
             if self._stopping:
                 raise ProtocolError(
@@ -612,188 +441,196 @@ class WorkerPool:
                     ErrorCode.OVERLOADED,
                     "no live workers; shedding load — retry with backoff",
                 )
-            worker = self._workers[index]
-            seq = self._seq
+            message["seq"] = seq = self._seq
             self._seq += 1
-            message["seq"] = seq
             self._pending[seq] = _Pending(future, index, message)
-            worker.depth += 1
-        worker.request_queue.put(message)
+            worker = self._workers[index]
+            worker.backlog.append(message)
+        self._pump(worker)
         return future
 
-    # -- response reader -------------------------------------------------------
+    def _pump(self, worker: _Worker) -> None:
+        """Send an idle *worker* its backlog, through the next request.
 
-    def _drain_responses(self) -> None:
+        A message goes out only while the worker has no request in hand,
+        so every send lands on a worker that is reading its pipe: at most
+        one request plus a few drop notices are ever in flight, far below
+        the pipe buffer, and no caller — the reader thread included —
+        blocks on a busy worker.
+        """
+        batch: List[Dict[str, Any]] = []
+        with self._lock:
+            conn = worker.conn
+            while worker.backlog and not worker.busy and conn is not None:
+                message = worker.backlog.popleft()
+                batch.append(message)
+                worker.busy = "seq" in message
+        if batch:
+            self._send(worker, conn, batch)
+
+    def _send(
+        self, worker: _Worker, conn: Optional[Connection], batch: List[Dict[str, Any]]
+    ) -> None:
+        """Send *batch* on *conn*, unless that pipe has been closed since."""
+        with worker.send_lock:
+            if conn is None or conn is not worker.conn:
+                return  # reaped: the reader requeued what it owed
+            try:
+                for message in batch:
+                    conn.send(message)
+            except (OSError, ValueError):
+                pass  # died mid-send: its sentinel wakes the reader
+
+    def _close(self, worker: _Worker) -> None:
+        with worker.send_lock:
+            if worker.conn is not None:
+                worker.conn.close()
+                worker.conn = None
+
+    # -- reader thread ---------------------------------------------------------
+
+    def _read(self) -> None:
+        """Wait on every pipe and sentinel; settle answers, reap the dead."""
         while True:
             with self._lock:
                 if self._stopping and not self._pending:
                     return
-            try:
-                message = self._response_queue.get(timeout=_POLL_S)
-            except queue_module.Empty:
-                message = None
-            except (ValueError, OSError):  # pragma: no cover - queue closed
-                return
-            if message is not None:
-                self._on_message(message)
-            self._reap_dead()
-            self._maybe_restart()
+                live: Dict[Any, _Worker] = {
+                    w.conn: w for w in self._workers if w.conn is not None
+                }
+                sentinels = {w.process.sentinel: w for w in live.values()}
+                respawns = [w.respawn_at for w in self._workers if w.respawn_at]
+            timeout = min([_HEARTBEAT_S, *(at - time.monotonic() for at in respawns)])
+            ready = wait([*live, *sentinels], max(0.0, timeout))
+            for source in ready:
+                if source in live:
+                    self._drain(live[source])
+            for source in ready:
+                if source in sentinels:
+                    self._reap(sentinels[source])
+            self._respawn_due()
 
-    def _on_message(self, message: Dict[str, Any]) -> None:
-        kind = message.get("kind")
+    def _drain(self, worker: _Worker) -> None:
+        """Handle every message waiting on *worker*'s pipe."""
+        conn = worker.conn
+        try:
+            while conn is not None and conn.poll():
+                self._on_message(worker, conn.recv())
+        except (EOFError, OSError):  # end of file, or a message torn by its death
+            self._reap(worker)
+
+    def _on_message(self, worker: _Worker, message: Dict[str, Any]) -> None:
+        kind = message["kind"]
         entry: Optional[_Pending] = None
         with self._lock:
-            index = int(message.get("worker", -1))
-            if 0 <= index < len(self._workers):
-                worker = self._workers[index]
-                worker.last_seen = time.monotonic()
-                metrics = message.get("metrics")
-                if isinstance(metrics, dict):
-                    worker.metrics = metrics
-                if kind == "answer":
-                    entry = self._pending.pop(int(message["seq"]), None)
-                    worker.depth = max(0, worker.depth - 1)
-                elif kind == "ready" and not worker.alive:
-                    # A respawned replacement came up: re-join the ring.
-                    worker.alive = True
-                    worker.pid = int(message["pid"])
-                    worker.depth = 0
-                    worker.respawn_at = None
+            worker.last_seen = time.monotonic()
+            if "metrics" in message:
+                worker.metrics = message["metrics"]
+            if kind == "answer":
+                entry = self._pending.pop(message["seq"], None)
+                worker.busy = False
+            elif kind == "ready":
+                worker.alive = True
+                self._ring.add(worker.index)
+                if self._up.is_set():  # every ready after start is a respawn
                     worker.restarts += 1
-                    self._ring.add(worker.index)
                     self._m_restarts.inc()
-        if entry is not None and not entry.future.done():
+                elif all(w.alive for w in self._workers):
+                    self._up.set()
+            elif kind == "failed" and not self._up.is_set():
+                self._failure = f"worker {worker.index} failed to start: {message['message']}"
+                self._up.set()
+        if entry is not None:
             entry.future.set_result(message["payload"])
+        if kind == "answer":
+            self._pump(worker)
 
-    def _reap_dead(self) -> None:
-        """Fail dead workers out of the ring; requeue or shed their orphans."""
+    def _reap(self, worker: _Worker) -> None:
+        """Fail a dead worker out of the ring; requeue or shed its orphans."""
         shed: List[_Pending] = []
-        requeued: List[Tuple[_Worker, Dict[str, Any]]] = []
+        survivors: List[_Worker] = []
         with self._lock:
-            for worker in self._workers:
-                if not worker.alive or worker.process.is_alive():
-                    continue
-                worker.alive = False
-                worker.depth = 0
+            if worker.conn is None:
+                return  # already reaped (pipe EOF and sentinel both fired)
+            if worker.alive:
                 self._ring.remove(worker.index)
+            worker.alive = worker.busy = False
+            worker.backlog.clear()
+            if not self._stopping:
                 self._m_crashes.inc()
-                if self._restart and not self._stopping:
+                if self.config.restart_workers:
                     # Capped exponential backoff; never reset, so a
                     # crash-looping worker keeps slowing down.
-                    worker.backoff_s = min(
-                        max(worker.backoff_s * 2.0, self._restart_backoff_s),
-                        self._restart_backoff_max_s,
-                    )
+                    first, cap = _RESTART_BACKOFF_S
+                    worker.backoff_s = min(max(worker.backoff_s * 2.0, first), cap)
                     worker.respawn_at = time.monotonic() + worker.backoff_s
-                orphan_seqs = [
-                    seq
-                    for seq, entry in self._pending.items()
-                    if entry.worker == worker.index
-                ]
-                for seq in orphan_seqs:
-                    entry = self._pending[seq]
-                    target: Optional[int] = None
-                    if entry.requeues < _MAX_REQUEUES:
-                        target = self._ring.route(f"requeue:{seq}")
-                    if target is None:
-                        del self._pending[seq]
-                        shed.append(entry)
-                        continue
-                    entry.requeues += 1
-                    entry.worker = target
-                    survivor = self._workers[target]
-                    survivor.depth += 1
-                    self._m_requeued.inc()
-                    requeued.append((survivor, entry.message))
-        for survivor, message in requeued:
-            survivor.request_queue.put(message)
+            for seq, entry in list(self._pending.items()):
+                if entry.worker != worker.index:
+                    continue
+                target: Optional[int] = None
+                if entry.requeues < _MAX_REQUEUES:
+                    target = self._ring.route(f"requeue:{seq}")
+                if target is None:
+                    del self._pending[seq]
+                    shed.append(entry)
+                    continue
+                entry.requeues += 1
+                entry.worker = target
+                survivor = self._workers[target]
+                survivor.backlog.append(entry.message)
+                survivors.append(survivor)
+                self._m_requeued.inc()
+        self._close(worker)
+        for survivor in survivors:
+            self._pump(survivor)
         for entry in shed:
-            if not entry.future.done():
-                entry.future.set_exception(
-                    ProtocolError(
-                        ErrorCode.OVERLOADED,
-                        "worker process died mid-computation; request shed — "
-                        "retry with backoff",
-                    )
+            entry.future.set_exception(
+                ProtocolError(
+                    ErrorCode.OVERLOADED,
+                    "worker process died mid-computation; request shed — "
+                    "retry with backoff",
                 )
+            )
 
-    def _maybe_restart(self) -> None:
-        """Respawn crashed workers whose backoff deadline has passed.
+    def _respawn_due(self) -> None:
+        """Respawn reaped workers whose backoff deadline has passed.
 
         Runs on the reader thread only, so claiming a worker (clearing
         ``respawn_at`` under the lock) cannot race another restarter; the
         spawn itself happens outside the lock. The replacement joins the
-        ring when its ``ready`` message arrives (:meth:`_on_message`) —
-        a replacement that dies during init is reaped and rescheduled
-        with doubled backoff like any other crash.
+        ring when its ``ready`` message arrives — a replacement that dies
+        during init is reaped and rescheduled with doubled backoff like
+        any other crash.
         """
         now = time.monotonic()
-        claimed: List[_Worker] = []
         with self._lock:
-            if self._stopping or not self._restart:
+            if self._stopping:
                 return
-            for worker in self._workers:
-                if worker.alive:
-                    continue
-                if worker.respawn_at is None:
-                    # No restart pending: either a replacement is still
-                    # initializing (process alive, ready not yet seen) or
-                    # it died during init — reschedule the latter with
-                    # doubled backoff, since _reap_dead only watches
-                    # ring-joined workers.
-                    if not worker.process.is_alive():
-                        worker.backoff_s = min(
-                            max(worker.backoff_s * 2.0, self._restart_backoff_s),
-                            self._restart_backoff_max_s,
-                        )
-                        worker.respawn_at = now + worker.backoff_s
-                    continue
-                if worker.respawn_at <= now:
-                    worker.respawn_at = None
-                    claimed.append(worker)
-        for worker in claimed:
-            old_queue = worker.request_queue
-            request_queue, process = self._spawn(worker.index)
+            due = [w for w in self._workers if w.respawn_at and w.respawn_at <= now]
+            for worker in due:
+                worker.respawn_at = None
+        for worker in due:
+            process, conn = self._spawn(worker.index)
             with self._lock:
-                worker.process = process
-                worker.request_queue = request_queue
-                worker.pid = None
+                worker.process, worker.conn = process, conn
                 worker.last_seen = time.monotonic()
-            try:
-                old_queue.cancel_join_thread()
-                old_queue.close()
-            except (ValueError, OSError):  # pragma: no cover - already closed
-                pass
 
     # -- observability ---------------------------------------------------------
 
-    def workers_info(self) -> List[Dict[str, Any]]:
-        """Per-worker liveness for ``/healthz``."""
-        now = time.monotonic()
-        out: List[Dict[str, Any]] = []
-        with self._lock:
-            for worker in self._workers:
-                out.append(
-                    {
-                        "worker": worker.index,
-                        "pid": worker.pid,
-                        "alive": worker.alive and worker.process.is_alive(),
-                        "queue_depth": worker.depth,
-                        "heartbeat_age_s": round(now - worker.last_seen, 3),
-                        "restarts": worker.restarts,
-                    }
-                )
+    def health(self) -> Dict[str, Any]:
+        """``/healthz`` fields: per-worker liveness; degraded if any is dead."""
+        workers = self._publish()
+        out: Dict[str, Any] = {"mode": "processes", "workers": workers}
+        if not all(worker["alive"] for worker in workers):
+            out["status"] = "degraded"
         return out
 
-    def all_alive(self) -> bool:
-        with self._lock:
-            return all(
-                worker.alive and worker.process.is_alive()
-                for worker in self._workers
-            )
-
     def refresh_metrics(self) -> None:
-        """Publish per-worker gauges and merge worker counters (as gauges).
+        self._publish()
+
+    def _publish(self) -> List[Dict[str, Any]]:
+        """Publish per-worker gauges and merge worker counters (as gauges);
+        returns the per-worker liveness records behind them.
 
         Quantile-style snapshot keys cannot be merged by summation, so
         only monotone ``*_total`` / ``*_count`` / ``*_sum`` keys aggregate
@@ -804,25 +641,32 @@ class WorkerPool:
         now = time.monotonic()
         merged: Dict[str, float] = {}
         with self._lock:
+            depth = [0] * len(self._workers)
+            for entry in self._pending.values():
+                depth[entry.worker] += 1
+            workers = [
+                {
+                    "worker": worker.index,
+                    "pid": worker.process.pid,
+                    "alive": worker.alive and worker.process.is_alive(),
+                    "queue_depth": depth[worker.index],
+                    "heartbeat_age_s": round(now - worker.last_seen, 3),
+                    "restarts": worker.restarts,
+                }
+                for worker in self._workers
+            ]
             for worker in self._workers:
-                alive = worker.alive and worker.process.is_alive()
-                self._m_alive[worker.index].set(1.0 if alive else 0.0)
-                self._m_depth[worker.index].set(float(worker.depth))
-                self._m_beat_age[worker.index].set(round(now - worker.last_seen, 3))
                 for name, value in (worker.metrics or {}).items():
                     if (
                         name.endswith(("_total", "_count", "_sum"))
                         or name in _MERGED_GAUGES
                     ):
                         merged[name] = merged.get(name, 0.0) + float(value)
+        for info in workers:
+            for name, gauge in self._m_workers[info["worker"]].items():
+                gauge.set(float(info[name]))
         for name, value in merged.items():
             self.registry.gauge(
                 f"server_workers_{name}", "summed across pool workers"
             ).set(value)
-
-    def __enter__(self) -> "WorkerPool":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
+        return workers

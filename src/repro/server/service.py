@@ -1,18 +1,22 @@
 """The asyncio query server: NDJSON over TCP plus a minimal HTTP shim.
 
-One :class:`QueryServer` bridges client connections onto a shared
-:class:`~repro.engine.session.EngineSession` through a bounded thread
-pool. The event loop owns all connection state; evaluations run in worker
-threads; results fan back out through asyncio futures. Three mechanics:
+One :class:`QueryServer` bridges client connections onto an
+:class:`Evaluator`: a bounded thread pool over the shared
+:class:`~repro.engine.session.EngineSession` (``mode="threads"``) or a
+:class:`~repro.server.pool.WorkerPool` of worker processes
+(``mode="processes"``). Both answer through the one module-level
+:func:`evaluate` (and its install twin :func:`install`), so a payload is
+shaped the same way in either mode. The event loop owns all connection
+state; results fan back out through asyncio futures. Three mechanics:
 
 * **Coalescing** — concurrent identical requests (same
   ``(db_fingerprint, query, method, backend)`` identity, refined by error
   budget) share one computation: the first becomes the *leader* and
-  submits to the pool, the rest await the leader's future and are marked
-  ``"coalesced": true`` in their responses. Answers are byte-identical to
-  what sequential evaluation would have returned.
+  submits to the evaluator, the rest await the leader's future and are
+  marked ``"coalesced": true`` in their answers. Answers are
+  byte-identical to what sequential evaluation would have returned.
 * **Admission control** — at most ``max_pending`` leader computations may
-  be admitted (running + queued for the pool). Beyond that the server
+  be admitted (running + queued in the evaluator). Beyond that the server
   sheds load with an immediate ``overloaded`` error instead of queueing
   unboundedly; per-request hard timeouts return ``timeout`` without
   cancelling the shared computation (followers may still be served).
@@ -24,15 +28,15 @@ threads; results fan back out through asyncio futures. Three mechanics:
 Protocol sniffing: a connection whose first line starts with an HTTP verb
 is served by the shim (``POST /query``, ``POST /condition``,
 ``DELETE /condition/<id>``, ``GET /healthz``, ``GET /metrics``); anything
-else is treated as newline-delimited JSON.
+else is newline-delimited JSON. A line over :data:`_LINE_LIMIT` bytes is
+answered ``bad_request`` (HTTP 400 on the shim), then the connection closes.
 
 **Scenarios** (conditioning): ``op: condition`` installs a constraint set
-through the :class:`~repro.condition.session.ScenarioManager`; queries
-naming a ``scenario`` evaluate ``P(Q | Γ)`` against the installed
-compiled circuit, and ``force`` derives a what-if cofactor. In processes
-mode the parent registers scenario *specs* only; the compile happens on
-the scenario's consistent-hash ring owner, and queries ship the specs so
-a respawned worker re-installs transparently.
+through the evaluator (in processes mode, on the scenario's ring owner)
+and the front door's :class:`~repro.condition.session.ScenarioManager`
+records its specs; queries naming a ``scenario`` answer ``P(Q | Γ)``, with
+``force`` deriving a what-if cofactor. Every such query ships the specs,
+so a respawned worker re-installs transparently.
 
 All shared containers in this module are confined to the event-loop
 thread (single-threaded by construction), which is the concurrency
@@ -45,11 +49,11 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Set
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Protocol, Sequence, Set
 
-from ..condition.core import InconsistentConstraints
+from ..condition.core import ConstraintSet, InconsistentConstraints
 from ..condition.session import (
     ScenarioManager,
     StaleScenarioError,
@@ -65,15 +69,18 @@ from .protocol import (
     ErrorCode,
     ProtocolError,
     QueryRequest,
-    Request,
     decode_request,
     encode,
     error_response,
 )
 
-__all__ = ["QueryServer", "ServerConfig", "ServerThread"]
+__all__ = ["Evaluator", "QueryServer", "ServerConfig", "ServerThread", "evaluate", "install"]
 
 _HTTP_VERBS = (b"GET ", b"POST ", b"HEAD ", b"PUT ", b"DELETE ", b"OPTIONS ")
+
+#: Longest request, HTTP request or header line, in bytes (asyncio's
+#: default ``StreamReader`` limit, made explicit so errors can name it).
+_LINE_LIMIT = 2**16
 
 
 @dataclass
@@ -106,13 +113,171 @@ class ServerConfig:
     restart_workers: bool = True  # processes mode: respawn crashed workers
 
 
-@dataclass
-class _Inflight:
-    """One leader computation and its fan-out future."""
+# -- evaluation, shared by both modes -----------------------------------------
 
-    future: "asyncio.Future[Dict[str, Any]]"
-    followers: int = 0
-    started: float = field(default_factory=time.perf_counter)
+#: The error code each failure family answers with; anything else is
+#: ``internal``. Order matters: the scenario errors subclass ValueError.
+_ERROR_CODES = (
+    (UnknownScenarioError, ErrorCode.UNKNOWN_SCENARIO),
+    (StaleScenarioError, ErrorCode.STALE_SCENARIO),
+    (InconsistentConstraints, ErrorCode.UNSATISFIABLE),
+    ((ValueError, NotImplementedError), ErrorCode.BAD_REQUEST),
+)
+
+
+def _error_payload(error: Exception) -> Dict[str, Any]:
+    code = next(
+        (code for kinds, code in _ERROR_CODES if isinstance(error, kinds)),
+        ErrorCode.INTERNAL,
+    )
+    return error_response(code, f"{type(error).__name__}: {error}")
+
+
+def evaluate(
+    ladder: MethodLadder,
+    scenarios: ScenarioManager,
+    request: QueryRequest,
+    specs: Optional[Sequence[str]],
+    default_deadline_s: Optional[float],
+) -> Dict[str, Any]:
+    """Answer one query request: the payload both serving modes return.
+
+    Every failure becomes an error *payload*, never an exception, so the
+    thread pool and a worker process settle their futures alike. *specs*
+    are the named scenario's constraint specs: a manager that never saw
+    the install (a fresh or respawned worker) conditions from them.
+    """
+    deadline_s = (
+        request.deadline_ms / 1e3
+        if request.deadline_ms is not None
+        else default_deadline_s
+    )
+    try:
+        scenario = None
+        if request.scenario is not None:
+            scenario = scenarios.derived(
+                request.scenario, dict(request.force or ()), specs=specs
+            )
+        answer = ladder.evaluate(
+            request.query,
+            method=request.method,
+            deadline_s=deadline_s,
+            epsilon=request.epsilon,
+            delta=request.delta,
+            scenario=scenario,
+            scenario_id=request.scenario,
+            backend=request.backend,
+        )
+    except Exception as error:  # noqa: BLE001 - evaluation boundary
+        return _error_payload(error)
+    payload = answer.to_payload()
+    payload["elapsed_ms"] = round(answer.elapsed_s * 1e3, 3)
+    return payload
+
+
+def install(scenarios: ScenarioManager, specs: Sequence[str]) -> Dict[str, Any]:
+    """Install a constraint set: the ``op: condition`` payload of both modes."""
+    try:
+        scenario_id, scenario = scenarios.install(specs)
+    except Exception as error:  # noqa: BLE001 - evaluation boundary
+        return _error_payload(error)
+    return {
+        "ok": True,
+        "scenario": scenario_id,
+        "gamma_probability": scenario.gamma_probability,
+        "constraints": list(scenario.constraints.specs()),
+    }
+
+
+class Evaluator(Protocol):
+    """Where admitted work runs. Futures resolve to :func:`evaluate` /
+    :func:`install` payloads, or fail with a :class:`ProtocolError`."""
+
+    def submit(
+        self, request: QueryRequest, specs: Optional[Sequence[str]]
+    ) -> "Future[Dict[str, Any]]": ...
+
+    def submit_condition(
+        self, scenario_id: str, specs: Sequence[str]
+    ) -> "Future[Dict[str, Any]]": ...
+
+    def drop(self, scenario_id: str) -> None: ...
+
+    def health(self) -> Dict[str, Any]: ...
+
+    def refresh_metrics(self) -> None: ...
+
+    def shutdown(self) -> None: ...
+
+
+class ThreadEvaluator:
+    """Threads mode: a bounded thread pool over the one shared session. Its
+    scenario manager is the front door's, so ``drop`` has nothing left to do."""
+
+    def __init__(
+        self, ladder: MethodLadder, scenarios: ScenarioManager, config: ServerConfig
+    ) -> None:
+        self._ladder = ladder
+        self._scenarios = scenarios
+        self._deadline_s = config.default_deadline_s
+        self._executor = ThreadPoolExecutor(
+            max_workers=config.workers, thread_name_prefix="prodb-worker"
+        )
+
+    def submit(
+        self, request: QueryRequest, specs: Optional[Sequence[str]]
+    ) -> "Future[Dict[str, Any]]":
+        return self._executor.submit(
+            evaluate, self._ladder, self._scenarios, request, specs, self._deadline_s
+        )
+
+    def submit_condition(
+        self, scenario_id: str, specs: Sequence[str]
+    ) -> "Future[Dict[str, Any]]":
+        return self._executor.submit(install, self._scenarios, specs)
+
+    def drop(self, scenario_id: str) -> None:
+        pass
+
+    def health(self) -> Dict[str, Any]:
+        return {}
+
+    def refresh_metrics(self) -> None:
+        pass
+
+    def shutdown(self) -> None:
+        self._executor.shutdown(wait=False, cancel_futures=True)
+
+
+# -- the front door -------------------------------------------------------------
+
+
+class _LineTooLong(Exception):
+    """A line over :data:`_LINE_LIMIT`; carries its first bytes for sniffing."""
+
+    def __init__(self, head: bytes) -> None:
+        super().__init__(f"line exceeds the {_LINE_LIMIT}-byte limit")
+        self.head = head
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """``readline``, except that a line over the limit is read through and
+    dropped, then raised as :class:`_LineTooLong` — asyncio's own raises a
+    bare ``ValueError`` mid-line, and closing on unread input would reset
+    the connection before the client reads the error."""
+    head: Optional[bytes] = None
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as error:
+            line = error.partial
+        except asyncio.LimitOverrunError as error:
+            chunk = await reader.readexactly(error.consumed)
+            head = chunk[:16] if head is None else head
+            continue
+        if head is None:
+            return line
+        raise _LineTooLong(head)
 
 
 class QueryServer:
@@ -154,10 +319,9 @@ class QueryServer:
             registry=self.registry,
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._pool: Optional[Any] = None
-        self._shards: Optional[Any] = None
-        self._inflight: Dict[tuple, _Inflight] = {}
+        self._evaluator: Optional[Evaluator] = None
+        #: Leader computations by coalesce key; followers await the same future.
+        self._inflight: "Dict[tuple, asyncio.Future[Dict[str, Any]]]" = {}
         self._writers: Set[asyncio.StreamWriter] = set()
         self._conn_tasks: "Set[asyncio.Task[None]]" = set()
         self._active_requests = 0
@@ -207,61 +371,27 @@ class QueryServer:
         assert self._server is not None and self._server.sockets
         return int(self._server.sockets[0].getsockname()[1])
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     async def start(self) -> None:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
+        evaluator: Evaluator
         if self.config.mode == "processes":
-            # Publish once, spawn workers, verify they all came up before
-            # the socket accepts anything.
-            from ..relational.shm import publish
-            from .pool import WorkerOptions, WorkerPool
+            from .pool import WorkerPool
 
-            pdb = self.session.pdb
-            options = WorkerOptions(
-                cache_size=(
-                    self.config.worker_cache_size
-                    if self.config.worker_cache_size is not None
-                    else self.session.cache.maxsize
-                ),
-                seed=pdb.seed,
-                backend=pdb.backend,
-                exact_lineage_limit=pdb.exact_lineage_limit,
-                mc_epsilon=pdb.mc_epsilon,
-                mc_delta=pdb.mc_delta,
-                use_cache=self.config.coalesce,
-                default_epsilon=self.config.default_epsilon,
-                default_delta=self.config.default_delta,
-                default_deadline_s=self.config.default_deadline_s,
-                scenario_cache_size=self.config.scenario_cache_size,
-            )
-            self._shards = publish(self.session.tid)
-            pool = WorkerPool(
-                self._shards.handle,
-                self.config.workers,
-                options=options,
-                registry=self.registry,
-                restart=self.config.restart_workers,
-            )
-            loop = asyncio.get_running_loop()
-            try:
-                # start() blocks on worker spawn — keep the loop responsive.
-                await loop.run_in_executor(None, pool.start)
-            except BaseException:
-                self._shards.unlink()
-                self._shards = None
-                raise
-            self._pool = pool
+            pool = WorkerPool(self.session, self.config, registry=self.registry)
+            # start() publishes the shards and blocks until every worker
+            # is serving — keep the loop responsive meanwhile.
+            await asyncio.get_running_loop().run_in_executor(None, pool.start)
+            evaluator = pool
         else:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers, thread_name_prefix="prodb-worker"
-            )
+            evaluator = ThreadEvaluator(self.ladder, self.scenarios, self.config)
+        self._evaluator = evaluator
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            limit=_LINE_LIMIT,
         )
 
     async def serve_forever(self) -> None:
@@ -292,15 +422,10 @@ class QueryServer:
             await asyncio.wait(list(self._conn_tasks), timeout=1.0)
         if self._server is not None:
             await self._server.wait_closed()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._pool is not None:
+        if self._evaluator is not None:
             loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self._pool.shutdown)
-            self._pool = None
-        if self._shards is not None:
-            self._shards.unlink()
-            self._shards = None
+            await loop.run_in_executor(None, self._evaluator.shutdown)
+            self._evaluator = None
 
     # -- connection handling --------------------------------------------------
 
@@ -312,17 +437,14 @@ class QueryServer:
             self._conn_tasks.add(task)  # prodb-lint: lockfree -- event-loop confined
         self._writers.add(writer)  # prodb-lint: lockfree -- event-loop confined
         try:
-            first = await reader.readline()
-            if not first:
-                return
-            if first.startswith(_HTTP_VERBS):
+            line = await _read_line(reader)
+            if line.startswith(_HTTP_VERBS):
                 self._active_requests += 1  # prodb-lint: lockfree -- event-loop confined
                 try:
-                    await self._handle_http(first, reader, writer)
+                    await self._handle_http(line, reader, writer)
                 finally:
                     self._active_requests -= 1  # prodb-lint: lockfree -- event-loop confined
                 return
-            line: bytes = first
             while line:
                 text = line.decode("utf-8", errors="replace").strip()
                 if text:
@@ -333,7 +455,10 @@ class QueryServer:
                         await writer.drain()
                     finally:
                         self._active_requests -= 1  # prodb-lint: lockfree -- event-loop confined
-                line = await reader.readline()
+                line = await _read_line(reader)
+        except _LineTooLong as error:
+            # Sniffed like a first line: the shim answers its own header lines.
+            await self._refuse_long_line(writer, error.head.startswith(_HTTP_VERBS))
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
@@ -349,6 +474,18 @@ class QueryServer:
                 writer.close()
             except RuntimeError:  # pragma: no cover - loop already closing
                 pass
+
+    async def _refuse_long_line(self, writer: asyncio.StreamWriter, http: bool) -> None:
+        """Answer an over-long line with ``bad_request``; the caller closes."""
+        self._m_requests.inc()
+        self._m_errors.inc()
+        message = f"line exceeds the {_LINE_LIMIT}-byte limit; closing the connection"
+        if http:
+            await self._http_reply(writer, 400, "text/plain", message + "\n")
+        else:
+            response = error_response(ErrorCode.BAD_REQUEST, message)
+            writer.write((encode(response) + "\n").encode())
+            await writer.drain()
 
     # -- request path ---------------------------------------------------------
 
@@ -381,21 +518,31 @@ class QueryServer:
         self._m_latency.observe(time.perf_counter() - started)
         return response
 
+    def _respond(
+        self, payload: Dict[str, Any], request_id: Optional[str], coalesced: Optional[bool]
+    ) -> Dict[str, Any]:
+        """One evaluator payload as a response: counted, with the request's
+        id, and — on a query answer — whether it was coalesced."""
+        response = dict(payload)
+        if not response.get("ok"):
+            self._m_errors.inc()
+        else:
+            self._m_answers.inc()
+            if coalesced is not None:
+                response["coalesced"] = coalesced
+        if request_id is not None:
+            response["id"] = request_id
+        return response
+
     async def _admit(self, request: QueryRequest) -> Dict[str, Any]:
+        assert self._evaluator is not None, "server not started"
         key = request.coalesce_key(self.session.tid.fingerprint())
-        entry = self._inflight.get(key) if self.config.coalesce else None
-        if entry is not None:
+        leader = self._inflight.get(key) if self.config.coalesce else None
+        if leader is not None:
             # Follower: share the leader's computation, never a pool slot.
-            entry.followers += 1
             self._m_coalesced.inc()
-            payload = await self._await_result(entry.future, request)
-            response = dict(payload)
-            response["coalesced"] = True
-            if request.id is not None:
-                response["id"] = request.id
-            if response.get("ok"):
-                self._m_answers.inc()
-            return response
+            payload = await self._await_result(leader, request)
+            return self._respond(payload, request.id, coalesced=True)
 
         if len(self._inflight) >= self.config.max_pending:
             self._m_overloaded.inc()
@@ -405,60 +552,22 @@ class QueryServer:
                 f"pending computations at the limit ({self.config.max_pending}); "
                 "shedding load — retry with backoff",
             )
-
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
-        self._inflight[key] = _Inflight(future)  # prodb-lint: lockfree -- event-loop confined
+        specs = self._scenario_specs(request)
+        future = asyncio.wrap_future(self._evaluator.submit(request, specs))
+        self._inflight[key] = future  # prodb-lint: lockfree -- event-loop confined
         self._m_inflight.set(len(self._inflight))
-        if self._pool is not None:
-            try:
-                specs = self._scenario_specs(request)
-                worker_future = self._pool.submit(request, specs=specs)
-            except ProtocolError:
-                self._inflight.pop(key, None)  # prodb-lint: lockfree -- event-loop confined
-                self._m_inflight.set(len(self._inflight))
-                raise
-            pool_future: "asyncio.Future[Dict[str, Any]]" = asyncio.wrap_future(
-                worker_future, loop=loop
-            )
-        else:
-            assert self._executor is not None, "server not started"
-            pool_future = loop.run_in_executor(
-                self._executor, self._evaluate, request
-            )
-        pool_future.add_done_callback(
-            lambda done: self._settle(key, future, done)
-        )
+        future.add_done_callback(lambda _: self._retire(key))
         payload = await self._await_result(future, request)
-        response = dict(payload)
-        response["coalesced"] = False
-        if request.id is not None:
-            response["id"] = request.id
-        if response.get("ok"):
-            self._m_answers.inc()
-            rung = response.get("rung")
-            if isinstance(rung, str) and rung in self._m_rung:
-                self._m_rung[rung].inc()
-        else:
-            self._m_errors.inc()
+        response = self._respond(payload, request.id, coalesced=False)
+        rung = response.get("rung")
+        if response.get("ok") and isinstance(rung, str) and rung in self._m_rung:
+            self._m_rung[rung].inc()
         return response
 
-    def _settle(
-        self,
-        key: tuple,
-        future: "asyncio.Future[Dict[str, Any]]",
-        done: "asyncio.Future[Dict[str, Any]]",
-    ) -> None:
-        # Runs on the event loop (run_in_executor futures complete there).
+    def _retire(self, key: tuple) -> None:
+        # Runs on the event loop (wrapped futures complete there).
         self._inflight.pop(key, None)  # prodb-lint: lockfree -- event-loop confined
         self._m_inflight.set(len(self._inflight))
-        if future.cancelled():
-            return
-        error = done.exception()
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(done.result())
 
     async def _await_result(
         self, future: "asyncio.Future[Dict[str, Any]]", request: QueryRequest
@@ -480,16 +589,13 @@ class QueryServer:
                 "the computation keeps running for coalesced peers",
             ) from None
 
-    def _scenario_specs(self, request: QueryRequest) -> Optional[tuple]:
-        """Constraint specs to ship with a routed scenario query (processes).
-
-        Workers re-install evicted or crash-lost scenarios from these, so a
-        re-routed request after a worker respawn conditions transparently.
-        """
+    def _scenario_specs(self, request: QueryRequest) -> Optional[list]:
+        """Constraint specs to ship with a scenario query: the evaluator
+        re-installs an evicted or crash-lost scenario from them."""
         if request.scenario is None:
             return None
         try:
-            return self.scenarios.constraints_of(request.scenario).specs()
+            return list(self.scenarios.constraints_of(request.scenario).specs())
         except UnknownScenarioError:
             raise ProtocolError(
                 ErrorCode.UNKNOWN_SCENARIO,
@@ -497,130 +603,33 @@ class QueryServer:
                 "op 'condition' first",
             ) from None
 
-    def _resolve_scenario(self, request: QueryRequest) -> Any:
-        """Look up (and possibly derive) the scenario a request names.
-
-        Raised errors carry their own :class:`ProtocolError` codes, so this
-        must run *before* the generic ``ValueError -> bad_request`` wrapper
-        in :meth:`_evaluate` (the scenario exceptions subclass ValueError).
-        """
-        if request.scenario is None:
-            return None
-        try:
-            if request.force is not None:
-                return self.scenarios.derived(
-                    request.scenario, dict(request.force)
-                )
-            return self.scenarios.resolve(request.scenario)
-        except UnknownScenarioError as error:
-            raise ProtocolError(
-                ErrorCode.UNKNOWN_SCENARIO, str(error)
-            ) from None
-        except StaleScenarioError as error:
-            raise ProtocolError(ErrorCode.STALE_SCENARIO, str(error)) from None
-        except InconsistentConstraints as error:
-            raise ProtocolError(ErrorCode.UNSATISFIABLE, str(error)) from None
-
-    def _evaluate(self, request: QueryRequest) -> Dict[str, Any]:
-        """Worker-thread entry: run the ladder, shape the response."""
-        scenario = self._resolve_scenario(request)
-        pdb = self.session.pdb
-        previous_backend = pdb.backend
-        if request.backend is not None:
-            pdb.backend = request.backend
-        try:
-            deadline_s = (
-                request.deadline_ms / 1e3
-                if request.deadline_ms is not None
-                else self.config.default_deadline_s
-            )
-            answer = self.ladder.evaluate(
-                request.query,
-                method=request.method,
-                deadline_s=deadline_s,
-                epsilon=request.epsilon,
-                delta=request.delta,
-                scenario=scenario,
-                scenario_id=request.scenario,
-            )
-        except (ValueError, NotImplementedError) as error:
-            raise ProtocolError(
-                ErrorCode.BAD_REQUEST, f"{type(error).__name__}: {error}"
-            ) from error
-        finally:
-            pdb.backend = previous_backend
-        payload = answer.to_payload()
-        payload["elapsed_ms"] = round(answer.elapsed_s * 1e3, 3)
-        return payload
-
     # -- scenario management --------------------------------------------------
 
     async def _admit_condition(self, request: ConditionRequest) -> Dict[str, Any]:
-        """Install a constraint set; returns its content-addressed id.
-
-        Threads mode compiles in the executor (compilation can be heavy);
-        processes mode registers the specs parent-side and routes the
-        compile to the scenario's ring owner.
-        """
-        from ..condition.core import ConstraintSet
-
-        loop = asyncio.get_running_loop()
+        """Install a constraint set through the evaluator; returns its
+        content-addressed id, which the front door's manager records."""
+        assert self._evaluator is not None, "server not started"
         try:
             gamma = ConstraintSet.parse(request.constraints)
         except ValueError as error:
             raise ProtocolError(
                 ErrorCode.BAD_REQUEST, f"bad constraint: {error}"
             ) from error
-        if self._pool is not None:
-            sid = scenario_id_of(self.session.tid.fingerprint(), gamma)
-            worker_future = self._pool.submit_condition(sid, gamma.specs())
-            payload = await asyncio.wrap_future(worker_future, loop=loop)
-            if not payload.get("ok"):
-                self._m_errors.inc()
-                if request.id is not None:
-                    payload = dict(payload)
-                    payload["id"] = request.id
-                return payload
+        sid = scenario_id_of(self.session.tid.fingerprint(), gamma)
+        payload = await asyncio.wrap_future(
+            self._evaluator.submit_condition(sid, gamma.specs())
+        )
+        if payload.get("ok"):
             self.scenarios.register(gamma)
-        else:
-            try:
-                sid, scenario = await loop.run_in_executor(
-                    self._executor, self.scenarios.install, gamma
-                )
-            except InconsistentConstraints as error:
-                raise ProtocolError(
-                    ErrorCode.UNSATISFIABLE, str(error)
-                ) from None
-            except (ValueError, NotImplementedError) as error:
-                raise ProtocolError(
-                    ErrorCode.BAD_REQUEST, f"{type(error).__name__}: {error}"
-                ) from error
-            payload = {
-                "ok": True,
-                "scenario": sid,
-                "gamma_probability": scenario.gamma_probability,
-                "constraints": list(gamma.specs()),
-            }
-        response = dict(payload)
-        if request.id is not None:
-            response["id"] = request.id
-        self._m_answers.inc()
-        return response
+        return self._respond(payload, request.id, coalesced=None)
 
     async def _drop_condition(self, request: DropConditionRequest) -> Dict[str, Any]:
         """Uninstall a scenario everywhere (idempotent)."""
+        assert self._evaluator is not None, "server not started"
         dropped = self.scenarios.drop(request.scenario)
-        if self._pool is not None:
-            self._pool.broadcast_drop(request.scenario)
-        response: Dict[str, Any] = {
-            "ok": True,
-            "scenario": request.scenario,
-            "dropped": dropped,
-        }
-        if request.id is not None:
-            response["id"] = request.id
-        self._m_answers.inc()
-        return response
+        self._evaluator.drop(request.scenario)
+        payload = {"ok": True, "scenario": request.scenario, "dropped": dropped}
+        return self._respond(payload, request.id, coalesced=None)
 
     # -- HTTP shim ------------------------------------------------------------
 
@@ -630,6 +639,7 @@ class QueryServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        assert self._evaluator is not None, "server not started"
         try:
             method, target, _ = request_line.decode("latin-1").split(" ", 2)
         except ValueError:
@@ -637,7 +647,11 @@ class QueryServer:
             return
         content_length = 0
         while True:
-            header = await reader.readline()
+            try:
+                header = await _read_line(reader)
+            except _LineTooLong:
+                await self._refuse_long_line(writer, http=True)
+                return
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
@@ -646,27 +660,20 @@ class QueryServer:
                     content_length = int(value.strip())
                 except ValueError:
                     content_length = 0
+        line: Optional[str] = None
         if method == "GET" and target == "/healthz":
-            status = "draining" if self._draining else "ok"
             payload: Dict[str, Any] = {
-                "status": status,
+                "status": "draining" if self._draining else "ok",
                 "inflight": len(self._inflight),
                 "scenarios": self.scenarios.scenario_count(),
+                **self._evaluator.health(),
             }
-            code = 200
-            if self._pool is not None:
-                self._pool.refresh_metrics()
-                workers = self._pool.workers_info()
-                payload["mode"] = "processes"
-                payload["workers"] = workers
-                if any(not worker["alive"] for worker in workers):
-                    payload["status"] = "degraded"
-                    code = 503
+            code = 503 if payload["status"] == "degraded" else 200
             body = json.dumps(payload)
             await self._http_reply(writer, code, "application/json", body + "\n")
-        elif method == "GET" and target == "/metrics":
-            if self._pool is not None:
-                self._pool.refresh_metrics()
+            return
+        if method == "GET" and target == "/metrics":
+            self._evaluator.refresh_metrics()
             self.registry.gauge(
                 "engine_cache_entries", "answers in the session LRU cache"
             ).set(float(len(self.session.cache)))
@@ -674,39 +681,19 @@ class QueryServer:
             await self._http_reply(
                 writer, 200, "text/plain; version=0.0.4", self.registry.render_text()
             )
-        elif method == "POST" and target == "/query":
+            return
+        if method == "POST" and target in ("/query", "/condition"):
             body_bytes = (
                 await reader.readexactly(content_length) if content_length else b""
             )
-            response = await self._handle_request(
-                body_bytes.decode("utf-8", errors="replace")
-            )
-            code = 200 if response.get("ok") else _http_status(response)
-            await self._http_reply(
-                writer, code, "application/json", encode(response) + "\n"
-            )
-        elif method == "POST" and target == "/condition":
-            body_bytes = (
-                await reader.readexactly(content_length) if content_length else b""
-            )
-            # Same JSON as the NDJSON op, with "op" implied by the route.
-            line = _with_op(
-                body_bytes.decode("utf-8", errors="replace"), "condition"
-            )
-            response = await self._handle_request(line)
-            code = 200 if response.get("ok") else _http_status(response)
-            await self._http_reply(
-                writer, code, "application/json", encode(response) + "\n"
-            )
+            line = body_bytes.decode("utf-8", errors="replace")
+            if target == "/condition":
+                # Same JSON as the NDJSON op, with "op" implied by the route.
+                line = _with_op(line, "condition")
         elif method == "DELETE" and target.startswith("/condition/"):
             scenario = target[len("/condition/") :]
             line = encode({"op": "drop_condition", "scenario": scenario})
-            response = await self._handle_request(line)
-            code = 200 if response.get("ok") else _http_status(response)
-            await self._http_reply(
-                writer, code, "application/json", encode(response) + "\n"
-            )
-        else:
+        if line is None:
             await self._http_reply(
                 writer,
                 404,
@@ -714,6 +701,10 @@ class QueryServer:
                 "prodb endpoints: POST /query, POST /condition, "
                 "DELETE /condition/<id>, GET /healthz, GET /metrics\n",
             )
+            return
+        response = await self._handle_request(line)
+        code = 200 if response.get("ok") else _HTTP_STATUS.get(response["error"], 500)
+        await self._http_reply(writer, code, "application/json", encode(response) + "\n")
 
     async def _http_reply(
         self, writer: asyncio.StreamWriter, status: int, ctype: str, body: str
@@ -736,17 +727,15 @@ class QueryServer:
         await writer.drain()
 
 
-def _http_status(response: Dict[str, Any]) -> int:
-    code = response.get("error")
-    if code in (ErrorCode.OVERLOADED.value, ErrorCode.SHUTTING_DOWN.value):
-        return 503
-    if code in (ErrorCode.BAD_REQUEST.value, ErrorCode.UNSATISFIABLE.value):
-        return 400
-    if code == ErrorCode.UNKNOWN_SCENARIO.value:
-        return 404
-    if code == ErrorCode.STALE_SCENARIO.value:
-        return 409
-    return 500
+#: HTTP status of each error code on the shim; any other error is a 500.
+_HTTP_STATUS = {
+    ErrorCode.OVERLOADED.value: 503,
+    ErrorCode.SHUTTING_DOWN.value: 503,
+    ErrorCode.BAD_REQUEST.value: 400,
+    ErrorCode.UNSATISFIABLE.value: 400,
+    ErrorCode.UNKNOWN_SCENARIO.value: 404,
+    ErrorCode.STALE_SCENARIO.value: 409,
+}
 
 
 def _with_op(body: str, op: str) -> str:

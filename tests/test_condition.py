@@ -431,6 +431,7 @@ def test_http_condition_endpoints():
         status, body = http_request(host, port, "GET", "/metrics")
         assert status == 200
         assert "scenarios_installed 1" in body
+        assert "scenario_installs_total 1" in body  # counted once, not per layer
         assert "engine_cache_entries" in body
         status, body = http_request(host, port, "DELETE", f"/condition/{sid}")
         assert status == 200 and json.loads(body)["dropped"] is True

@@ -159,9 +159,11 @@ def test_process_error_responses_match_threads(threads_server, process_server):
             reference = client.request(dict(payload))
         with ServerClient("127.0.0.1", process_server.port) as client:
             pooled = client.request(dict(payload))
-        assert not pooled["ok"] and not reference["ok"]
-        assert pooled["error"] == reference["error"] == expected
-        assert pooled["message"] == reference["message"]
+        assert reference["error"] == expected
+        # One evaluation function: the whole payload, minus the id, agrees.
+        assert {k: v for k, v in pooled.items() if k != "id"} == {
+            k: v for k, v in reference.items() if k != "id"
+        }
 
 
 def test_ladder_serves_safe_point_query_by_safe_plan_in_both_modes():
@@ -255,16 +257,19 @@ def test_metrics_expose_worker_gauges(process_server):
 # -- crash semantics ----------------------------------------------------------
 
 
-def test_killed_worker_yields_only_explicit_responses():
+@pytest.mark.parametrize("restart", (False, True))
+def test_killed_worker_yields_only_explicit_responses(restart):
     """SIGKILL mid-stream: every request is answered or explicitly shed.
 
-    Auto-restart is off so the dead worker stays dead — this test pins the
+    With auto-restart off the dead worker stays dead — this pins the
     degraded-but-correct behavior (503 healthz, survivor still answering).
+    With it on, the survivor keeps answering while the replacement spawns,
+    and no client hangs either way.
     """
     with _server(
-        "processes", request_timeout_s=60.0, restart_workers=False
+        "processes", request_timeout_s=60.0, restart_workers=restart
     ) as thread:
-        pool = thread.server._pool
+        pool = thread.server._evaluator
         responses = []
         lock = threading.Lock()
         stop = threading.Event()
@@ -285,7 +290,7 @@ def test_killed_worker_yields_only_explicit_responses():
         for t in clients:
             t.start()
         time.sleep(0.3)  # let traffic build
-        victim = pool.workers_info()[0]["pid"]
+        victim = pool.health()["workers"][0]["pid"]
         os.kill(victim, signal.SIGKILL)
         time.sleep(1.0)  # keep firing across the crash + reap window
         stop.set()
@@ -301,11 +306,12 @@ def test_killed_worker_yields_only_explicit_responses():
                 # never hung, never corrupted: only explicit shedding
                 assert response["error"] in ("overloaded", "timeout"), response
 
-        status_line, body = _http_raw("127.0.0.1", thread.port, "/healthz")
-        assert "503" in status_line, (status_line, body)
-        health = json.loads(body)
-        assert health["status"] == "degraded"
-        assert any(not worker["alive"] for worker in health["workers"])
+        if not restart:
+            status_line, body = _http_raw("127.0.0.1", thread.port, "/healthz")
+            assert "503" in status_line, (status_line, body)
+            health = json.loads(body)
+            assert health["status"] == "degraded"
+            assert any(not worker["alive"] for worker in health["workers"])
         registry = thread.server.registry
         assert registry.snapshot().get("server_worker_crashes_total", 0) >= 1
         # The survivor still answers.
@@ -315,7 +321,7 @@ def test_killed_worker_yields_only_explicit_responses():
 
 def test_healthz_returns_503_when_worker_dead():
     with _server("processes", restart_workers=False) as thread:
-        victim = thread.server._pool.workers_info()[1]["pid"]
+        victim = thread.server._evaluator.health()["workers"][1]["pid"]
         os.kill(victim, signal.SIGKILL)
         deadline = time.time() + 10
         status_line = ""
@@ -336,8 +342,8 @@ def test_crashed_worker_is_respawned():
     ``server_worker_restarts_total`` counts the respawn.
     """
     with _server("processes") as thread:
-        pool = thread.server._pool
-        victim = pool.workers_info()[0]["pid"]
+        pool = thread.server._evaluator
+        victim = pool.health()["workers"][0]["pid"]
         os.kill(victim, signal.SIGKILL)
         deadline = time.time() + 30
         recovered = False
@@ -371,8 +377,8 @@ def test_process_server_drains_cleanly():
     thread = _server("processes").start()
     with ServerClient("127.0.0.1", thread.port) as client:
         assert client.query("R(x), S(x,y)")["ok"]
-    pool = thread.server._pool
-    pids = [w["pid"] for w in pool.workers_info()]
+    pool = thread.server._evaluator
+    pids = [w["pid"] for w in pool.health()["workers"]]
     thread.stop()
     deadline = time.time() + 10
     while time.time() < deadline:

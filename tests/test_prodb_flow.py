@@ -381,20 +381,23 @@ def _worker_main(index):
 
 
 class Pool:
-    def spawn(self, index, request_queue):
+    def spawn(self, index, request_queue, conn):
         bad = multiprocessing.Process(target=self._handle, args=(index,))
         good = multiprocessing.Process(target=_worker_main, args=(index,))
         request_queue.put({"op": "run", "fn": lambda: 1})
         request_queue.put({"op": "run", "seq": index})
+        conn.send({"op": "run", "fn": lambda: 2})
+        conn.send({"op": "run", "seq": index})
         return bad, good
 
     def _handle(self, index):
         return index
 """
     findings = run_flow(tmp_path, {"pkg/pool.py": boundary})
-    assert codes(findings) == ["PF302", "PF302"]
+    assert codes(findings) == ["PF302", "PF302", "PF302"]
     assert any("bound method" in f.message for f in findings)
-    assert any("lambda" in f.message for f in findings)
+    assert any("lambda" in f.message and "queue put" in f.message for f in findings)
+    assert any("lambda" in f.message and "pipe send" in f.message for f in findings)
 
 
 # -- pragmas ------------------------------------------------------------------

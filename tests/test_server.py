@@ -257,6 +257,69 @@ def test_concurrent_identical_requests_coalesce(server):
     assert engine_misses <= 2
 
 
+def test_concurrent_mixed_backends_leave_the_shared_session_alone():
+    """A per-request backend travels down as an argument: concurrent
+    requests naming different backends never switch the shared session's
+    backend, and every safe-plan answer names the backend its request
+    asked for (``auto`` resolves to rows on this small database)."""
+    session = EngineSession(small_tid(), seed=11)
+    assert session.pdb.backend == "auto"
+    resolved_auto = session.pdb.plan_backend()
+    # Uncached evaluation: every request runs a plan, reading its backend.
+    config = ServerConfig(workers=4, coalesce=False)
+    mismatches = []
+    lock = threading.Lock()
+    with ServerThread(session, config, registry=MetricsRegistry()) as thread:
+
+        def fire(backend):
+            expected = backend if backend is not None else resolved_auto
+            with ServerClient("127.0.0.1", thread.port) as client:
+                for i in range(150):
+                    query = ("R(x), S(x,y)", "S(x,y), T(y)")[i % 2]
+                    response = client.query(query, method="safe-plan", backend=backend)
+                    if not response["ok"] or f"({expected} backend)" not in response["detail"]:
+                        with lock:
+                            mismatches.append((backend, response))
+
+        clients = [
+            threading.Thread(target=fire, args=(backend,))
+            for backend in ("rows", "columnar", None, None)
+        ]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=120)
+            assert not client.is_alive(), "client hung"
+    assert not mismatches, mismatches[:3]
+    assert session.pdb.backend == "auto"
+
+
+def test_overlong_lines_answer_bad_request_then_close(server):
+    """Lines past the 64 KiB stream limit get an explicit error, never a
+    silently dropped connection: NDJSON answers ``bad_request`` naming the
+    limit, the HTTP shim answers 400 for a long request or header line."""
+    port = server.port
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        query = "R(x)" + " " * 70_000
+        sock.sendall(json.dumps({"query": query}).encode() + b"\n")
+        reader = sock.makefile("rb")
+        response = json.loads(reader.readline())
+        assert response["ok"] is False and response["error"] == "bad_request"
+        assert "65536" in response["message"]
+        assert reader.readline() == b""  # then the server closes
+    for head in (
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+    ):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(head)
+            raw = sock.makefile("rb").read()
+        assert raw.startswith(b"HTTP/1.1 400"), raw[:80]
+        assert b"65536" in raw
+    with ServerClient("127.0.0.1", port) as client:  # still serving
+        assert client.query("R(x), S(x,y)")["ok"]
+
+
 # -- admission control and shutdown -------------------------------------------
 
 

@@ -21,8 +21,8 @@ site — and runs three interprocedural verification passes over it:
 * **shm/pickle boundary** (:mod:`prodb_flow.shmcheck`, PF3xx) — taints
   the results of ``attach()`` (read-only shared-memory shards) and
   reports mutating operations reachable from them, and checks that
-  objects crossing the worker-pool pickle boundary (queue ``put``,
-  ``Process`` args/target) come from the picklable allowlist.
+  objects crossing the worker-pool pickle boundary (queue ``put``, pipe
+  ``send``, ``Process`` args/target) come from the picklable allowlist.
 
 Findings carry related source locations (both ends of an inversion, the
 thread-entry witness of a confinement breach) and can be suppressed with

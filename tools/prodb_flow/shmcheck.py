@@ -17,7 +17,8 @@ with a tainted destination, and ``Relation.add``/``replace``/
 ``set_fact`` on tainted receivers.
 
 **PF302 — the pickle boundary.** Everything crossing to a worker process
-(multiprocessing queue ``put``, ``Process(target=..., args=...)``) must
+(multiprocessing queue ``put``, ``send`` on a receiver named like a
+connection or pipe, ``Process(target=..., args=...)``) must
 come from the picklable allowlist: literals, dataclass records, plain
 calls. Flagged: lambdas, functions nested in the sending function,
 ``self``, and values whose inferred type is a known-unpicklable runtime
@@ -242,13 +243,18 @@ class BoundaryPass:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "put"
-                and "queue" in _receiver_text(func.value).lower()
+            channel = (
+                _receiver_text(func.value).lower()
+                if isinstance(func, ast.Attribute)
+                else ""
+            )
+            if isinstance(func, ast.Attribute) and (
+                (func.attr == "put" and "queue" in channel)
+                or (func.attr == "send" and ("conn" in channel or "pipe" in channel))
             ):
+                site = "queue put" if func.attr == "put" else "pipe send"
                 for arg in node.args[:1]:
-                    self._check_payload(arg, fn, nested, site="queue put")
+                    self._check_payload(arg, fn, nested, site=site)
             elif (
                 isinstance(func, ast.Attribute) and func.attr == "Process"
             ) or (

@@ -511,6 +511,10 @@ def _cmd_safety(args: argparse.Namespace) -> int:
     print(f"complexity : {verdict.complexity.value}")
     if verdict.blocking_subquery:
         print(f"blocked on : {verdict.blocking_subquery}")
+    if verdict.derivation is not None:
+        print("derivation : ($n is the value a separator binds)")
+        for line in verdict.derivation.lines():
+            print(f"  {line}")
     return 0
 
 

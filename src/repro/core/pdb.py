@@ -8,7 +8,8 @@ the serving ladder), then falls through to grounded inference:
    the relational engine (Sec. 6); a non-hierarchical one is #P-hard (Thm.
    4.3) and skips to step 3 without trying the lifted rules;
 2. **lifted** — anything else (self-joins, unions, unate sentences) runs the
-   rule engine of Sec. 5 (polynomial, exact; fails exactly when non-liftable);
+   rule engine of Sec. 5 (polynomial, exact) when the data-free derivation,
+   cached per query shape, lifts it; otherwise it skips to step 3;
 3. **dpll** — grounded inference: lineage + exact DPLL model counting with
    caching and components (Sec. 7), when the lineage is small enough;
 4. **karp-luby** — the DNF FPRAS, when the lineage is a positive DNF;
@@ -36,8 +37,14 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..booleans.forms import FormSizeExceeded, to_dnf
 from ..engine.stats import QueryStats
-from ..lifted.engine import LiftedEngine, RuleApplication, lifted_probability
-from ..lifted.errors import NonLiftableError, UnsupportedQueryError
+from ..lifted.engine import (
+    LiftedEngine,
+    RuleApplication,
+    lifted_probability,
+    unate_ucq,
+)
+from ..lifted.errors import UnsupportedQueryError
+from ..lifted.safety import decide_safety
 from ..lineage.build import (
     Lineage,
     answer_lineages,
@@ -258,20 +265,35 @@ class ProbabilisticDatabase:
         raise ValueError(f"unknown method {method}")
 
     @staticmethod
-    def structural_route(parsed) -> tuple[Optional[Method], str]:
+    def structural_route(
+        parsed, stats: Optional[QueryStats] = None
+    ) -> tuple[Optional[Method], str]:
         """The data-independent half of routing, ``(route, reason)``, where AUTO
         and the serving ladder's exact rung both start. Theorem 4.3 decides a
         self-join-free CQ from its shape: hierarchical ⇔ a safe plan exists,
         otherwise #P-hard — route ``None``, ground it. For anything else the
-        lifted rules themselves are the decision."""
-        if not isinstance(parsed, ConjunctiveQuery) or parsed.has_self_joins():
-            return Method.LIFTED, "self-joins, union or sentence → lifted rules"
-        if not parsed.is_hierarchical():
+        lifted rules decide, through :func:`~repro.lifted.safety.decide_safety`'s
+        data-free derivation, cached per query shape; *stats*, when given,
+        records whether that shape was already decided
+        (``derivation_cache_hit``)."""
+        if isinstance(parsed, ConjunctiveQuery) and not parsed.has_self_joins():
+            if not parsed.is_hierarchical():
+                try:
+                    safe_plan(parsed)  # fails, naming the subquery that blocks it
+                except UnsafePlanError as error:
+                    return None, f"{error} → grounded"
+            return Method.SAFE_PLAN, "hierarchical self-join-free CQ → safe plan"
+        if not isinstance(parsed, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
             try:
-                safe_plan(parsed)  # fails, naming the subquery that blocks it
-            except UnsafePlanError as error:
+                parsed = unate_ucq(parsed)[0]
+            except UnsupportedQueryError as error:
                 return None, f"{error} → grounded"
-        return Method.SAFE_PLAN, "hierarchical self-join-free CQ → safe plan"
+        verdict = decide_safety(parsed)
+        if stats is not None:
+            stats.counters["derivation_cache_hit"] = int(verdict.cache_hit)
+        if verdict.error is not None:
+            return None, f"{verdict.error} → grounded"
+        return Method.LIFTED, "self-joins, union or sentence → lifted rules"
 
     def _auto(
         self,
@@ -281,12 +303,9 @@ class ProbabilisticDatabase:
         lineage_factory: Optional[LineageFactory],
         backend: Optional[str],
     ) -> QueryAnswer:
-        route, stats.reason = self.structural_route(parsed)
+        route, stats.reason = self.structural_route(parsed, stats)
         if route is not None:
-            try:
-                return self._dispatch(parsed, route, stats=stats, backend=backend)
-            except (NonLiftableError, UnsupportedQueryError) as error:
-                stats.reason = f"{error} → grounded"
+            return self._dispatch(parsed, route, stats=stats, backend=backend)
         lineage = self._get_lineage(parsed, None, lineage_factory, stats)
         if lineage.variable_count <= self.exact_lineage_limit:
             answer = self._dpll(parsed, lineage, stats=stats)

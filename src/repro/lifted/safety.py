@@ -4,22 +4,21 @@ Two deciders:
 
 * :func:`cq_is_safe` — Theorem 4.3's AC⁰ criterion for self-join-free CQs:
   safe ⇔ hierarchical.
-* :func:`decide_safety` — for UCQs (and CQs with self-joins): run the lifted
-  engine symbolically over a tiny canonical database. The rules are
-  data-independent, so success certifies PTIME; failure means no rule
-  applies, which by the completeness theorem (Thm. 5.1) certifies
-  #P-hardness for queries in the paper's language.
+* :func:`decide_safety` — for UCQs (and CQs with self-joins): derive the
+  query with the lifted rules, without data
+  (:func:`repro.lifted.derive.derive`). A derivation certifies PTIME;
+  getting stuck means no rule applies, which by the completeness theorem
+  (Thm. 5.1) certifies #P-hardness for queries in the paper's language.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
-from ..core.tid import TupleIndependentDatabase
 from ..logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
-from .engine import LiftedEngine
+from .derive import Derivation, derive
 from .errors import NonLiftableError
 
 
@@ -32,14 +31,24 @@ class Complexity(Enum):
 
 @dataclass(frozen=True)
 class SafetyVerdict:
-    """The decided complexity plus the witness when the engine got stuck."""
+    """The decided complexity plus its witness: a derivation, or a stuck subquery."""
 
     complexity: Complexity
     blocking_subquery: str = ""
+    #: The rule derivation that certifies PTIME.
+    derivation: Optional[Derivation] = None
+    #: Where the rules got stuck, naming the subquery, on the #P-hard side.
+    error: Optional[NonLiftableError] = None
 
     @property
     def is_safe(self) -> bool:
         return self.complexity is Complexity.PTIME
+
+    @property
+    def cache_hit(self) -> bool:
+        """Whether :func:`derive` had decided this query's shape before."""
+        witness = self.derivation or self.error
+        return witness is not None and witness.cache_hit
 
 
 def cq_is_safe(query: ConjunctiveQuery) -> bool:
@@ -50,45 +59,14 @@ def cq_is_safe(query: ConjunctiveQuery) -> bool:
     yet #P-hard) — use :func:`decide_safety` instead.
     """
     if query.has_self_joins():
-        raise ValueError(
-            "hierarchy criterion only applies to self-join-free queries"
-        )
+        raise ValueError("hierarchy criterion only applies to self-join-free queries")
     return query.is_hierarchical()
 
 
-def _canonical_database(
-    query: UnionOfConjunctiveQueries, domain_size: int = 2
-) -> TupleIndependentDatabase:
-    """A tiny symmetric database mentioning every predicate of the query."""
-    arities: dict[str, int] = {}
-    for disjunct in query:
-        for atom in disjunct.atoms:
-            arities[atom.predicate] = atom.arity
-    domain = [f"c{i}" for i in range(domain_size)]
-    db = TupleIndependentDatabase()
-    for predicate, arity in sorted(arities.items()):
-        for values in itertools.product(domain, repeat=arity):
-            db.add_fact(predicate, values, 0.5)
-    db.explicit_domain = frozenset(domain)
-    return db
-
-
-def decide_safety(
-    query: UnionOfConjunctiveQueries | ConjunctiveQuery,
-    domain_size: int = 2,
-) -> SafetyVerdict:
-    """Decide the dichotomy side of a UCQ by dry-running the lifted engine.
-
-    The engine's rule applicability depends only on query syntax, so running
-    it over a canonical 2-element database explores exactly the derivation
-    it would use on any database.
-    """
-    if isinstance(query, ConjunctiveQuery):
-        query = UnionOfConjunctiveQueries((query,))
-    db = _canonical_database(query, domain_size)
-    engine = LiftedEngine(db)
+def decide_safety(query: UnionOfConjunctiveQueries | ConjunctiveQuery) -> SafetyVerdict:
+    """Decide the dichotomy side of a UCQ: :func:`derive`'s verdict."""
     try:
-        engine.probability(query)
+        derivation = derive(query)
     except NonLiftableError as error:
-        return SafetyVerdict(Complexity.SHARP_P_HARD, str(error.subquery))
-    return SafetyVerdict(Complexity.PTIME)
+        return SafetyVerdict(Complexity.SHARP_P_HARD, str(error.subquery), error=error)
+    return SafetyVerdict(Complexity.PTIME, derivation=derivation)

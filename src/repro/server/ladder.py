@@ -56,16 +56,12 @@ from ..condition.core import ConditionedAnswer, ConditionedScenario
 from ..core.pdb import Method, ProbabilisticDatabase, QueryAnswer
 from ..engine.cache import query_fingerprint
 from ..engine.session import EngineSession
-from ..lifted.errors import NonLiftableError, UnsupportedQueryError
 from ..logic.cq import ConjunctiveQuery
 from ..sanitize import RANK_SERVER, RankedLock, check_bounds
 from ..wmc.karp_luby import karp_luby
 from ..wmc.sampling import monte_carlo_wmc
 
 __all__ = ["CostPredictor", "MethodLadder", "RungAnswer"]
-
-#: Ladder rung names, in degradation order.
-RUNGS = ("exact", "bounds", "sampled")
 
 #: EWMA smoothing factor for observed rung latencies.
 _EWMA_ALPHA = 0.3
@@ -103,25 +99,29 @@ class RungAnswer:
             "method": self.method,
             "detail": self.detail,
         }
-        if self.scenario is not None:
-            out["scenario"] = self.scenario
-        if self.gamma_probability is not None:
-            out["gamma_probability"] = self.gamma_probability
+        bounds: Optional[Dict[str, float]] = None
         if self.lower is not None and self.upper is not None:
-            out["bounds"] = {"lower": self.lower, "upper": self.upper}
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        if self.delta is not None:
-            out["delta"] = self.delta
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.deadline_exceeded:
-            out["deadline_exceeded"] = True
+            bounds = {"lower": self.lower, "upper": self.upper}
+        optional = {
+            "scenario": self.scenario,
+            "gamma_probability": self.gamma_probability,
+            "bounds": bounds,
+            "epsilon": self.epsilon,
+            "delta": self.delta,
+            "samples": self.samples,
+            "deadline_exceeded": True if self.deadline_exceeded else None,
+        }
+        out.update((key, value) for key, value in optional.items() if value is not None)
         return out
 
 
+def _sampling_guarantee(relative: bool, epsilon: float, delta: float, estimator: str) -> str:
+    error = "relative" if relative else "additive"
+    return f"{error} error ≤ {epsilon} with probability ≥ {1 - delta} ({estimator}, seeded)"
+
+
 class CostPredictor:
-    """EWMA of observed per-``(query, rung)`` latencies, plus applicability.
+    """EWMA of observed per-``(query, rung)`` latencies.
 
     The lock (rank :data:`~repro.sanitize.RANK_SERVER`) is held only for
     dictionary operations, never across an evaluation.
@@ -130,7 +130,6 @@ class CostPredictor:
     def __init__(self) -> None:
         self._lock = RankedLock(RANK_SERVER, "server.predictor")
         self._seconds: Dict[Tuple[str, str], float] = {}
-        self._inapplicable: Dict[Tuple[str, str], bool] = {}
 
     def observe(self, qfp: str, rung: str, seconds: float) -> None:
         key = (qfp, rung)
@@ -146,14 +145,6 @@ class CostPredictor:
     def predict(self, qfp: str, rung: str) -> Optional[float]:
         with self._lock:
             return self._seconds.get((qfp, rung))
-
-    def mark_inapplicable(self, qfp: str, rung: str) -> None:
-        with self._lock:
-            self._inapplicable[(qfp, rung)] = True
-
-    def known_inapplicable(self, qfp: str, rung: str) -> bool:
-        with self._lock:
-            return self._inapplicable.get((qfp, rung), False)
 
 
 class MethodLadder:
@@ -283,20 +274,12 @@ class MethodLadder:
 
     def _direct(self, query: str, method: Method, backend: Optional[str]) -> RungAnswer:
         answer = self._query_answer(query, method, backend)
-        if answer.exact:
-            rung, guarantee = "exact", "exact probability (no approximation)"
-        elif answer.method is Method.KARP_LUBY:
+        rung, guarantee = "exact", "exact probability (no approximation)"
+        if not answer.exact:
+            kl = answer.method is Method.KARP_LUBY
+            estimator = "Karp–Luby FPRAS" if kl else "Monte Carlo"
             rung = "sampled"
-            guarantee = (
-                f"relative error ≤ {self.pdb.mc_epsilon} with probability "
-                f"≥ {1 - self.pdb.mc_delta} (Karp–Luby FPRAS, seeded)"
-            )
-        else:
-            rung = "sampled"
-            guarantee = (
-                f"additive error ≤ {self.pdb.mc_epsilon} with probability "
-                f"≥ {1 - self.pdb.mc_delta} (Monte Carlo, seeded)"
-            )
+            guarantee = _sampling_guarantee(kl, self.pdb.mc_epsilon, self.pdb.mc_delta, estimator)
         return RungAnswer(
             rung=rung,
             probability=answer.probability,
@@ -404,22 +387,18 @@ class MethodLadder:
         deadline_s: Optional[float],
         backend: Optional[str],
     ) -> Optional[RungAnswer]:
-        # The polynomial route the query's structure admits: AUTO's decision.
-        # Only the lifted rules can still get stuck, which history remembers.
+        # The polynomial route the query's structure admits: AUTO's decision,
+        # which for the lifted rules is their cached data-free derivation.
         parsed = self._parse(query, qfp)
         self.pdb.check_arities(parsed)
         route, reason = self.pdb.structural_route(parsed)
-        if route is not None and not self.predictor.known_inapplicable(qfp, route.value):
+        if route is not None:
             remaining = self._remaining(start, deadline_s)
             if self._fits(self.predictor.predict(qfp, route.value), remaining):
                 attempt = time.perf_counter()
-                try:
-                    answer = self._query_answer(query, route, backend)
-                except (NonLiftableError, UnsupportedQueryError):
-                    self.predictor.mark_inapplicable(qfp, route.value)
-                else:
-                    self.predictor.observe(qfp, route.value, time.perf_counter() - attempt)
-                    return self._exact_answer(answer)
+                answer = self._query_answer(query, route, backend)
+                self.predictor.observe(qfp, route.value, time.perf_counter() - attempt)
+                return self._exact_answer(answer)
         # Grounded DPLL: exponential worst case; gate on the lineage size
         # (predicted) and on observed history (actual overruns learned).
         lineage = (
@@ -459,15 +438,13 @@ class MethodLadder:
         deadline_s: Optional[float],
         backend: Optional[str],
     ) -> Optional[RungAnswer]:
-        if self.predictor.known_inapplicable(qfp, "bounds"):
+        # The sandwich bounds self-join-free CQs only: decided from syntax.
+        parsed = self._parse(query, qfp)
+        if not isinstance(parsed, ConjunctiveQuery) or parsed.has_self_joins():
             return None
         remaining = self._remaining(start, deadline_s)
         predicted = self.predictor.predict(qfp, "bounds")
         if remaining is not None and not self._fits(predicted, remaining):
-            return None
-        parsed = self._parse(query, qfp)
-        if not isinstance(parsed, ConjunctiveQuery) or parsed.has_self_joins():
-            self.predictor.mark_inapplicable(qfp, "bounds")
             return None
         cache_key = (
             "ladder",
@@ -485,7 +462,6 @@ class MethodLadder:
         try:
             result = extensional_bounds(parsed, self.pdb.tid)
         except (ValueError, RuntimeError):
-            self.predictor.mark_inapplicable(qfp, "bounds")
             return None
         self.predictor.observe(qfp, "bounds", time.perf_counter() - attempt)
         check_bounds(result.lower, result.upper, context="ladder bounds rung")
@@ -532,52 +508,34 @@ class MethodLadder:
             parsed = self.pdb.parse_query(query)
             lineage = self.pdb._lineage(parsed)
         attempt = time.perf_counter()
+        expr, probabilities = lineage.expr, lineage.probabilities()  # type: ignore[attr-defined]
         try:
-            clauses = to_dnf(lineage.expr)  # type: ignore[attr-defined]
+            clauses = to_dnf(expr)
         except FormSizeExceeded:
-            estimate = monte_carlo_wmc(
-                lineage.expr,  # type: ignore[attr-defined]
-                lineage.probabilities(),  # type: ignore[attr-defined]
-                epsilon=epsilon,
-                delta=delta,
-                rng=self.pdb.rng(),
+            mc = monte_carlo_wmc(
+                expr, probabilities, epsilon=epsilon, delta=delta, rng=self.pdb.rng()
             )
-            answer = RungAnswer(
-                rung="sampled",
-                probability=estimate.estimate,
-                guarantee=(
-                    f"additive error ≤ {epsilon} with probability "
-                    f"≥ {1 - delta} (naive Monte Carlo, seeded)"
-                ),
-                exact=False,
-                method=Method.MONTE_CARLO.value,
-                detail=f"{estimate.samples} seeded samples (DNF too large)",
-                epsilon=epsilon,
-                delta=delta,
-                samples=estimate.samples,
-            )
+            method, probability, samples = Method.MONTE_CARLO, mc.estimate, mc.samples
+            estimator = "naive Monte Carlo"
+            detail = f"{samples} seeded samples (DNF too large)"
         else:
-            estimate_kl = karp_luby(
-                clauses,
-                lineage.probabilities(),  # type: ignore[attr-defined]
-                epsilon=epsilon,
-                delta=delta,
-                rng=self.pdb.rng(),
+            kl = karp_luby(
+                clauses, probabilities, epsilon=epsilon, delta=delta, rng=self.pdb.rng()
             )
-            answer = RungAnswer(
-                rung="sampled",
-                probability=estimate_kl.estimate,
-                guarantee=(
-                    f"relative error ≤ {epsilon} with probability "
-                    f"≥ {1 - delta} (Karp–Luby FPRAS, seeded)"
-                ),
-                exact=False,
-                method=Method.KARP_LUBY.value,
-                detail=f"{estimate_kl.samples} seeded union-space samples",
-                epsilon=epsilon,
-                delta=delta,
-                samples=estimate_kl.samples,
-            )
+            method, probability, samples = Method.KARP_LUBY, kl.estimate, kl.samples
+            estimator = "Karp–Luby FPRAS"
+            detail = f"{samples} seeded union-space samples"
+        answer = RungAnswer(
+            rung="sampled",
+            probability=probability,
+            guarantee=_sampling_guarantee(method is Method.KARP_LUBY, epsilon, delta, estimator),
+            exact=False,
+            method=method.value,
+            detail=detail,
+            epsilon=epsilon,
+            delta=delta,
+            samples=samples,
+        )
         self.predictor.observe(qfp, "sampled", time.perf_counter() - attempt)
         self._remember(cache_key, answer)
         return answer

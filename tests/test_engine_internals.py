@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.lifted.engine import (
-    LiftedEngine,
+from repro.lifted.derive import (
     _merged_separator,
     _separator_candidates,
     _symbol_components,
 )
+from repro.lifted.engine import LiftedEngine
 from repro.lifted.errors import NonLiftableError
 from repro.logic.cq import parse_cq, parse_ucq
 from repro.logic.terms import Var

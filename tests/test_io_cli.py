@@ -125,6 +125,30 @@ def test_cli_safety(capsys):
     assert "PTIME" in capsys.readouterr().out
 
 
+def test_cli_safety_prints_the_derivation_or_the_blocking_subquery(capsys):
+    assert main(["safety", "-q", "R(x), S(x,y) | T(u), S(u,v)"]) == 0
+    head, _, rest = capsys.readouterr().out.partition("derivation :")
+    assert "PTIME" in head and "blocked on" not in head
+    derivation = rest.splitlines()[1:]  # one indented line per rule node
+    assert derivation[0].startswith("  [separator] [R(x), S(x, y)]  |  [T(u), S(u, v)]")
+    assert any(line.startswith("    [inclusion-exclusion]") for line in derivation)
+    assert any("[ground] R($0)" in line for line in derivation)
+
+    assert main(["safety", "-q", "R(x), S(x,y) | S(u,v), T(v)"]) == 0
+    out = capsys.readouterr().out
+    assert "#P-hard" in out and "derivation" not in out
+    assert "blocked on : [R(x), S(x, y)]  |  [S(u, v), T(v)]" in out
+
+
+def test_cli_query_stats_show_the_derivation_cache(csv_dir, capsys):
+    argv = ["query", str(csv_dir / "R.csv"), str(csv_dir / "S.csv"), "--stats", "-q"]
+    assert main(argv + ["R(x), S(x,y) | S(u,v), R(v)"]) == 0
+    assert main(argv + ["R(z), S(z,w) | S(p,q), R(q)"]) == 0
+    out = capsys.readouterr().out
+    assert "derivation_cache_hit=1" in out
+    assert "→ grounded" in out
+
+
 def test_cli_demo(capsys):
     assert main(["demo"]) == 0
     assert "Figure 1" in capsys.readouterr().out

@@ -1,7 +1,14 @@
 """Unit tests for repro.lifted: the rule engine and the safety decider."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.pdb import Method, ProbabilisticDatabase
+from repro.core.tid import TupleIndependentDatabase
+from repro.lifted.derive import derive
 from repro.lifted.engine import (
     LiftedEngine,
     lifted_probability,
@@ -9,8 +16,15 @@ from repro.lifted.engine import (
 )
 from repro.lifted.errors import NonLiftableError, UnsupportedQueryError
 from repro.lifted.safety import Complexity, cq_is_safe, decide_safety
-from repro.logic.cq import parse_cq, parse_ucq
+from repro.logic.cq import (
+    ConjunctiveQuery,
+    UnionOfConjunctiveQueries,
+    parse_cq,
+    parse_ucq,
+)
+from repro.logic.formulas import Atom
 from repro.logic.parser import parse
+from repro.logic.terms import Const, Var
 from repro.workloads.generators import random_tid
 
 from conftest import close
@@ -225,3 +239,72 @@ def test_decide_safety_matches_brute_force_when_safe(db):
             got = lifted_probability(q, db)
             want = db.brute_force_probability(q.to_formula())
             assert close(got, want)
+
+
+# -- data-free derivations against the grounded routes ----------------------------
+
+_SCHEMA = (("R", 1), ("S", 2), ("T", 1))
+
+
+@st.composite
+def _ucq_and_tid(draw):
+    """A UCQ of ≤3 disjuncts of ≤3 atoms (arity ≤2, self-joins allowed, 0–2
+    constants) and a TID whose domain holds those constants plus fresh
+    values."""
+    constants = draw(st.lists(st.sampled_from("ab"), max_size=2, unique=True))
+    terms = [Var(v) for v in "xyz"] + [Const(c) for c in constants]
+    disjuncts = []
+    for _ in range(draw(st.integers(1, 3))):
+        atoms = []
+        for _ in range(draw(st.integers(1, 3))):
+            name, arity = draw(st.sampled_from(_SCHEMA))
+            atoms.append(Atom(name, tuple(draw(st.sampled_from(terms)) for _ in range(arity))))
+        disjuncts.append(ConjunctiveQuery(tuple(atoms)))
+    query = UnionOfConjunctiveQueries(tuple(disjuncts))
+    domain = sorted({c.value for q in disjuncts for c in q.constants})
+    domain += [f"f{i}" for i in range(draw(st.integers(1, 2)))]
+    facts = [
+        (name, values)
+        for name, arity in _SCHEMA
+        for values in itertools.product(domain, repeat=arity)
+    ]
+    tid = TupleIndependentDatabase()
+    for name, values in draw(st.lists(st.sampled_from(facts), max_size=10, unique=True)):
+        tid.add_fact(name, values, draw(st.sampled_from((0.2, 0.5, 0.9, 1.0))))
+    tid.explicit_domain = frozenset(domain)
+    return query, tid
+
+
+def _qw():
+    h31 = parse_cq("S1(x,y), S2(x,y)")
+    return UnionOfConjunctiveQueries(
+        (parse_cq("R(x), S1(x,y)"), h31.conjoin(parse_cq("S2(x,y), S3(x,y)")))
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ucq_and_tid())
+@example((parse_ucq("R(x), S(x,y) | T(u), S(u,v)"), random_tid(4, 3, density=0.5)))
+@example((_qw(), random_tid(5, 2, schema=(("R", 1), ("S1", 2), ("S2", 2), ("S3", 2)), density=0.5)))
+@example((parse_ucq("R(x,y), R(y,z)"), random_tid(6, 3, schema=(("R", 2),), density=0.6)))
+def test_derive_decides_lifted_and_agrees_with_grounded_routes(case):
+    query, populated = case
+    try:
+        derive(query)
+    except NonLiftableError:
+        liftable = False
+    else:
+        liftable = True
+    for tid in (populated, TupleIndependentDatabase()):
+        pdb = ProbabilisticDatabase(tid=tid)
+        brute = tid.brute_force_probability(query.to_formula())
+        if liftable:
+            lifted = pdb.probability(query, Method.LIFTED).probability
+            assert close(lifted, brute)
+            assert close(pdb.probability(query, Method.DPLL).probability, brute)
+        else:
+            with pytest.raises(NonLiftableError):
+                pdb.probability(query, Method.LIFTED)
+            auto = pdb.probability(query)
+            assert auto.method is Method.DPLL
+            assert close(auto.probability, brute)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from repro.core.pdb import Method, ProbabilisticDatabase
 from repro.core.tid import TupleIndependentDatabase
 from repro.engine.session import EngineSession
+from repro.lifted.derive import derive
 from repro.lifted.engine import LiftedEngine
-from repro.logic.cq import ConjunctiveQuery
+from repro.lifted.errors import NonLiftableError
+from repro.logic.cq import ConjunctiveQuery, parse_cq, parse_ucq
 from repro.logic.formulas import Atom
 from repro.logic.terms import Const, Var
 from repro.server.ladder import MethodLadder
@@ -224,3 +226,82 @@ def test_most_probable_world_rejects_arity_mismatch(pdb):
     for world in (pdb.most_probable_world, EngineSession(pdb).most_probable_world):
         with pytest.raises(ValueError, match="R is stored with arity 1"):
             world("R(x,y), S(x,y)")
+
+
+# -- liftability decided once per query shape ---------------------------------
+
+# H1 (#P-hard) twice, differing only in predicate and variable names.
+_H1 = "A1(x), B1(x,y) | B1(u,v), C1(v)"
+_H1_RENAMED = "A2(p), B2(p,q) | B2(s,t), C2(t)"
+
+
+def _h1_pdb():
+    tid = TupleIndependentDatabase()
+    for k in (1, 2):
+        tid.add_fact(f"A{k}", ("a",), 0.5)
+        tid.add_fact(f"B{k}", ("a", "b"), 0.6)
+        tid.add_fact(f"B{k}", ("b", "b"), 0.3)
+        tid.add_fact(f"C{k}", ("b",), 0.7)
+    return ProbabilisticDatabase(tid=tid, seed=5)
+
+
+def test_renamed_nonliftable_ucq_is_one_shape_miss_then_a_hit():
+    derive.cache_clear()
+    with pytest.raises(NonLiftableError) as first:
+        derive(parse_ucq(_H1))
+    with pytest.raises(NonLiftableError) as second:
+        derive(parse_ucq(_H1_RENAMED))
+    info = derive.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert (first.value.cache_hit, second.value.cache_hit) == (False, True)
+    # each verdict names the stuck subquery in the query's own names
+    assert "B2(s, t)" in str(second.value.subquery)
+    assert "B1" not in str(second.value)
+
+
+def test_nonliftable_shape_never_builds_a_lifted_engine(lifted_engines):
+    derive.cache_clear()
+    pdb = _h1_pdb()
+    for text, own, hit in ((_H1, "B1(u, v)", 0), (_H1_RENAMED, "B2(s, t)", 1)):
+        answer = pdb.probability(text)
+        assert answer.method is Method.DPLL
+        assert own in answer.stats.reason and own in answer.detail
+        assert answer.stats.reason.endswith("→ grounded")
+        assert answer.stats.counters["derivation_cache_hit"] == hit
+        brute = pdb.probability(text, Method.BRUTE_FORCE).probability
+        assert close(answer.probability, brute)
+    assert "derivation_cache_hit=1" in pdb.explain(_H1_RENAMED)
+
+    served = MethodLadder(EngineSession(pdb)).evaluate("A2(m), B2(m,n) | B2(o,r), C2(r)")
+    assert (served.rung, served.method) == ("exact", "dpll")
+    assert "B2(o, r)" in served.detail
+    assert not lifted_engines
+    assert derive.cache_info().misses == 1
+
+
+def test_constant_equality_pattern_is_its_own_shape():
+    derive.cache_clear()
+    assert not derive(parse_cq("R(x,'a'), S(x,'a')")).cache_hit
+    assert not derive(parse_cq("R(x,'a'), S(x,'b')")).cache_hit
+    assert derive(parse_cq("R2(z,'c'), S2(z,'c')")).cache_hit
+    assert derive(parse_cq("R2(z,'c'), S2(z,'d')")).cache_hit
+    assert derive.cache_info().misses == 2
+
+
+def test_liftable_self_join_still_lifts_from_a_cached_shape(pdb):
+    derive.cache_clear()
+    tid = pdb.tid.copy()
+    for name in ("R", "S"):
+        for values in list(tid.relations[name].rows):
+            tid.add_fact(f"{name}9", values, tid.probability_of_fact(name, values))
+    renamed = ProbabilisticDatabase(tid=tid)
+    first = renamed.probability("R(x), S(x,y), S(x,z)")
+    second = renamed.probability("R9(u), S9(u,v), S9(u,w)")
+    for answer, hit in ((first, 0), (second, 1)):
+        assert answer.method is Method.LIFTED
+        assert answer.lifted_trace
+        assert answer.stats.counters["derivation_cache_hit"] == hit
+    assert close(first.probability, second.probability)
+    assert any("S9(" in step.query for step in second.lifted_trace)
+    grounded = renamed.probability("R9(u), S9(u,v), S9(u,w)", Method.DPLL)
+    assert close(second.probability, grounded.probability)

@@ -1,22 +1,23 @@
 """E16 — columnar vs row-at-a-time execution of extensional safe plans.
 
 The paper's Sec. 6 point is that safe queries run *inside* relational query
-processing — so the engine should inherit relational-engine speed. The row
-backend (`repro.plans.plan`) is a faithful tuple-at-a-time interpreter; the
-columnar backend (`repro.plans.vectorized` over
-`repro.relational.columnar`) executes the same plan trees as a handful of
-numpy array passes: dictionary-encoded scans, sort/searchsorted joins, and
-grouped log-space ⊕-aggregation.
+processing — so the engine should inherit relational-engine speed. The
+columnar executor (`repro.plans.vectorized` over
+`repro.relational.columnar`), which the engine runs every safe plan on,
+executes the plan tree as a handful of numpy array passes:
+dictionary-encoded scans, sort/searchsorted joins, and grouped log-space
+⊕-aggregation. The rows interpreter (`repro.plans.plan`), a faithful
+tuple-at-a-time reference kept for tests, is the baseline.
 
 This benchmark builds a ~10⁵-fact tuple-independent database, compiles the
-safe plan for ``R(x), S(x,y)`` once, and serves it through both backends:
+safe plan for ``R(x), S(x,y)`` once, and serves it through both executors:
 
 * **warm** columnar serving (encoded columns memoized per database
   version — the steady state of a query-serving engine) is asserted
-  **≥ 10× faster** than the row backend (≥ 3× under ``--quick``);
+  **≥ 10× faster** than the rows interpreter (≥ 3× under ``--quick``);
 * the **cold** columnar run (first query against a fresh database, paying
   the one-time dictionary encoding) is reported alongside;
-* both backends are asserted to agree within **1e-9 absolute error**;
+* both executors are asserted to agree within **1e-9 absolute error**;
 * the façade's ``Method.AUTO`` on the same query is asserted **within 1.5×**
   of the explicit ``Method.SAFE_PLAN`` call: AUTO must take the extensional
   route on a safe query (the lifted rules ground the separator over the
@@ -36,7 +37,7 @@ from repro.core.tid import TupleIndependentDatabase
 from repro.logic.cq import parse_cq
 from repro.plans.plan import execute_boolean, project_boolean
 from repro.plans.safe_plan import safe_plan
-from repro.plans.vectorized import available, execute_boolean_columnar
+from repro.plans.vectorized import execute_boolean_columnar
 
 from tables import print_table
 
@@ -72,7 +73,7 @@ def serving_comparison(n_keys: int, n_facts: int, rounds: int = 3):
     """Row vs columnar serving of one safe plan, and AUTO vs the explicit
     route; returns (rows, ratio, diff, auto_ratio).
 
-    Each backend is timed as the best of *rounds* executions of the same
+    Each executor is timed as the best of *rounds* executions of the same
     compiled plan — the repeat-traffic shape the engine session serves. The
     first columnar round doubles as the cold (encode-paying) measurement.
     The façade rows time ``ProbabilisticDatabase.probability`` end to end
@@ -93,7 +94,7 @@ def serving_comparison(n_keys: int, n_facts: int, rounds: int = 3):
         columnar_probability = execute_boolean_columnar(plan, db)
         columnar_times.append(time.perf_counter() - start)
 
-    pdb = ProbabilisticDatabase(tid=db, backend="columnar")
+    pdb = ProbabilisticDatabase(tid=db)
     facade = {}
     for method in (Method.SAFE_PLAN, Method.AUTO):
         times = []
@@ -126,17 +127,13 @@ def serving_comparison(n_keys: int, n_facts: int, rounds: int = 3):
 
 
 def test_e16_backends_agree_to_1e9():
-    if not available():  # pragma: no cover - numpy is a declared dependency
-        return
     _, _, diff, _ = serving_comparison(n_keys=200, n_facts=10_000)
-    assert diff <= 1e-9, f"backends disagree by {diff:.2e}"
+    assert diff <= 1e-9, f"executors disagree by {diff:.2e}"
 
 
 def test_e16_columnar_at_least_10x_on_1e5_rows():
-    if not available():  # pragma: no cover - numpy is a declared dependency
-        return
     _, ratio, diff, auto_ratio = serving_comparison(n_keys=2000, n_facts=100_000)
-    assert diff <= 1e-9, f"backends disagree by {diff:.2e}"
+    assert diff <= 1e-9, f"executors disagree by {diff:.2e}"
     assert ratio >= 10.0, f"columnar only {ratio:.1f}x faster than rows"
     assert auto_ratio <= AUTO_CEILING, f"AUTO costs {auto_ratio:.2f}x safe-plan"
 
@@ -147,9 +144,6 @@ def main() -> None:
         "--quick", action="store_true", help="smaller database for CI smoke runs"
     )
     args = parser.parse_args()
-    if not available():  # pragma: no cover - numpy is a declared dependency
-        print("E16 skipped: numpy not importable, columnar backend unavailable")
-        return
     if args.quick:
         n_keys, n_facts, floor = 500, 20_000, 3.0
     else:
@@ -158,11 +152,11 @@ def main() -> None:
     table, ratio, diff, auto_ratio = serving_comparison(n_keys, n_facts)
     print_table(
         f"E16: safe plan for {QUERY} over |R|={n_keys}, |S|={n_facts:,}",
-        ["backend", "time (best of 3)", "probability"],
+        ["executor", "time (best of 3)", "probability"],
         table,
     )
     print(f"row-vs-columnar |Δp| = {diff:.2e}")
-    assert diff <= 1e-9, f"backends disagree by {diff:.2e}"
+    assert diff <= 1e-9, f"executors disagree by {diff:.2e}"
     assert ratio >= floor, f"columnar only {ratio:.1f}x faster than rows (need {floor}x)"
     assert auto_ratio <= AUTO_CEILING, (
         f"AUTO costs {auto_ratio:.2f}x the explicit safe-plan route "

@@ -71,13 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="RNG seed for the approximate routes (reproducible estimates)",
     )
     query.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "rows", "columnar"],
-        help="extensional (safe-plan) executor: tuple-at-a-time rows, "
-        "numpy columnar, or auto (columnar above a row-count threshold)",
-    )
-    query.add_argument(
         "--scenario",
         default=None,
         metavar="CONSTRAINTS",
@@ -131,12 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="RNG seed for the approximate routes (reproducible estimates)",
-    )
-    batch.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "rows", "columnar"],
-        help="extensional (safe-plan) executor (answers cached per-backend)",
     )
 
     serve = sub.add_parser(
@@ -209,12 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="RNG seed threaded into every sampling rung (reproducible serves)",
-    )
-    serve.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "rows", "columnar"],
-        help="extensional (safe-plan) executor",
     )
     serve.add_argument(
         "--cache-size", type=int, default=256, help="session cache entries"
@@ -296,9 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    pdb = ProbabilisticDatabase(
-        tid=load_tid(args.files), seed=args.seed, backend=args.backend
-    )
+    pdb = ProbabilisticDatabase(tid=load_tid(args.files), seed=args.seed)
     if args.scenario is not None:
         from .condition import ConditionedScenario
 
@@ -324,8 +303,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if answer.stats.reason:
             print(f"reason      : {answer.stats.reason}")
         print(f"stage times : {answer.stats.summary()}")
-        if answer.stats.backend:
-            print(f"backend     : {answer.stats.backend}")
         for line in answer.stats.operator_summary():
             print(f"  {line}")
         if answer.stats.counters:
@@ -341,10 +318,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print("--cache-size must be at least 1", file=sys.stderr)
         return 2
     session = EngineSession(
-        load_tid(args.files),
-        cache_size=args.cache_size,
-        seed=args.seed,
-        backend=args.backend,
+        load_tid(args.files), cache_size=args.cache_size, seed=args.seed
     )
     queries = list(args.queries) * args.repeat
     answers = session.query_batch(
@@ -377,9 +351,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         print("give CSV files to serve, or --demo", file=sys.stderr)
         return 2
-    session = EngineSession(
-        tid, cache_size=args.cache_size, seed=args.seed, backend=args.backend
-    )
+    session = EngineSession(tid, cache_size=args.cache_size, seed=args.seed)
     config = ServerConfig(
         host=args.host,
         port=args.port,

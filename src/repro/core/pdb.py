@@ -5,7 +5,8 @@ structure alone (:meth:`ProbabilisticDatabase.structural_route`, shared with
 the serving ladder), then falls through to grounded inference:
 
 1. **safe plan** — a hierarchical self-join-free CQ runs extensionally inside
-   the relational engine (Sec. 6); a non-hierarchical one is #P-hard (Thm.
+   the relational engine (Sec. 6), on the columnar executor of
+   :mod:`repro.plans.vectorized`; a non-hierarchical one is #P-hard (Thm.
    4.3) and skips to step 3 without trying the lifted rules;
 2. **lifted** — anything else (self-joins, unions, unate sentences) runs the
    rule engine of Sec. 5 (polynomial, exact) when the data-free derivation,
@@ -61,8 +62,9 @@ from ..logic.cq import (
 from ..logic.formulas import Formula
 from ..logic.parser import ParseError, parse_sentence
 from ..logic.terms import Var
-from ..plans.plan import execute_boolean, project_boolean
+from ..plans.plan import project_boolean
 from ..plans.safe_plan import UnsafePlanError, safe_plan
+from ..plans.vectorized import execute_boolean_columnar
 from ..sanitize import check_probability
 from ..wmc.dpll import DPLLCounter
 from ..wmc.karp_luby import karp_luby
@@ -100,30 +102,15 @@ class QueryAnswer:
         return self.probability
 
 
-#: Valid values for :attr:`ProbabilisticDatabase.backend`.
-BACKENDS = ("auto", "rows", "columnar")
-
-
 @dataclass
 class ProbabilisticDatabase:
-    """A TID plus every inference engine of the library.
-
-    *backend* selects the extensional (safe-plan) execution engine:
-    ``"rows"`` is the tuple-at-a-time reference implementation,
-    ``"columnar"`` the numpy-vectorized one
-    (:mod:`repro.plans.vectorized`), and ``"auto"`` (default) picks
-    columnar once the database holds at least
-    :data:`~repro.plans.vectorized.COLUMNAR_AUTO_THRESHOLD` facts and numpy
-    is importable. Both backends return the same probabilities to within
-    1e-9 (differentially tested); the choice is purely about speed.
-    """
+    """A TID plus every inference engine of the library."""
 
     tid: TupleIndependentDatabase = field(default_factory=TupleIndependentDatabase)
     exact_lineage_limit: int = 40
     mc_epsilon: float = 0.02
     mc_delta: float = 0.05
     seed: Optional[int] = None
-    backend: str = "auto"
 
     def settings(self) -> dict:
         """Every field but the data, as picklable keyword arguments: a worker
@@ -180,7 +167,6 @@ class ProbabilisticDatabase:
         *,
         stats: Optional[QueryStats] = None,
         lineage_factory: Optional[LineageFactory] = None,
-        backend: Optional[str] = None,
     ) -> QueryAnswer:
         """Evaluate a Boolean query; see the module docstring for routing.
 
@@ -188,8 +174,7 @@ class ProbabilisticDatabase:
         record (the engine session passes one that already holds cache
         lookup time); otherwise a fresh one is created. *lineage_factory*
         overrides how routes obtain the grounded lineage — the session uses
-        it to serve lineages from its content-addressed cache. *backend*
-        overrides :attr:`backend` for this call only.
+        it to serve lineages from its content-addressed cache.
         """
         stats = stats if stats is not None else QueryStats()
         with stats.stage("parse"):
@@ -201,11 +186,7 @@ class ProbabilisticDatabase:
             )
         self.check_arities(parsed)
         answer = self._dispatch(
-            parsed,
-            method,
-            stats=stats,
-            lineage_factory=lineage_factory,
-            backend=backend,
+            parsed, method, stats=stats, lineage_factory=lineage_factory
         )
         # Sanitizer (no-op unless REPRO_SANITIZE=1): every route must
         # return a probability.
@@ -239,17 +220,14 @@ class ProbabilisticDatabase:
         *,
         stats: Optional[QueryStats] = None,
         lineage_factory: Optional[LineageFactory] = None,
-        backend: Optional[str] = None,
     ) -> QueryAnswer:
         stats = stats if stats is not None else QueryStats()
         if method is Method.AUTO:
-            return self._auto(
-                parsed, stats=stats, lineage_factory=lineage_factory, backend=backend
-            )
+            return self._auto(parsed, stats=stats, lineage_factory=lineage_factory)
         if method is Method.LIFTED:
             return self._lifted(parsed, stats=stats)
         if method is Method.SAFE_PLAN:
-            return self._safe_plan(parsed, stats=stats, backend=backend)
+            return self._safe_plan(parsed, stats=stats)
         if method is Method.DPLL:
             return self._dpll(parsed, stats=stats, lineage_factory=lineage_factory)
         if method is Method.KARP_LUBY:
@@ -301,11 +279,10 @@ class ProbabilisticDatabase:
         *,
         stats: QueryStats,
         lineage_factory: Optional[LineageFactory],
-        backend: Optional[str],
     ) -> QueryAnswer:
         route, stats.reason = self.structural_route(parsed, stats)
         if route is not None:
-            return self._dispatch(parsed, route, stats=stats, backend=backend)
+            return self._dispatch(parsed, route, stats=stats)
         lineage = self._get_lineage(parsed, None, lineage_factory, stats)
         if lineage.variable_count <= self.exact_lineage_limit:
             answer = self._dpll(parsed, lineage, stats=stats)
@@ -335,61 +312,16 @@ class ProbabilisticDatabase:
             lifted_trace=trace,
         )
 
-    def plan_backend(self, backend: Optional[str] = None) -> str:
-        """The extensional backend the safe-plan route will actually use for
-        *backend* (default: :attr:`backend`)."""
-        backend = backend if backend is not None else self.backend
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        from ..plans import vectorized
-
-        if backend == "columnar":
-            if not vectorized.available():
-                raise RuntimeError(
-                    "backend='columnar' requires numpy, which is not importable"
-                )
-            return "columnar"
-        if backend == "rows":
-            return "rows"
-        if (
-            vectorized.available()
-            and self.tid.fact_count() >= vectorized.COLUMNAR_AUTO_THRESHOLD
-        ):
-            return "columnar"
-        return "rows"
-
-    def _safe_plan(
-        self,
-        parsed,
-        *,
-        stats: Optional[QueryStats] = None,
-        backend: Optional[str] = None,
-    ) -> QueryAnswer:
+    def _safe_plan(self, parsed, *, stats: Optional[QueryStats] = None) -> QueryAnswer:
         stats = stats if stats is not None else QueryStats()
         if not isinstance(parsed, ConjunctiveQuery):
             raise UnsafePlanError("safe plans apply to conjunctive queries")
         with stats.stage("compile"):
-            plan = safe_plan(parsed, self.tid)
-        backend = self.plan_backend(backend)
-        stats.backend = backend
+            plan = project_boolean(safe_plan(parsed, self.tid))
         with stats.stage("count"):
-            if backend == "columnar":
-                from ..plans.vectorized import execute_boolean_columnar
-
-                probability = execute_boolean_columnar(
-                    project_boolean(plan), self.tid, profile=stats.operators
-                )
-            else:
-                probability = execute_boolean(
-                    project_boolean(plan), self.tid, profile=stats.operators
-                )
+            probability = execute_boolean_columnar(plan, self.tid, profile=stats.operators)
         return QueryAnswer(
-            probability,
-            Method.SAFE_PLAN,
-            exact=True,
-            detail=f"safe plan ({backend} backend): {project_boolean(plan)}",
+            probability, Method.SAFE_PLAN, exact=True, detail=f"safe plan: {plan}"
         )
 
     def _lineage(self, parsed) -> Lineage:
@@ -628,8 +560,6 @@ def explain_answer(query: Query, answer: QueryAnswer) -> str:
             lines.append(f"route reason : {answer.stats.reason}")
         lines.append(f"cache hit    : {answer.stats.cache_hit}")
         lines.append(f"stage times  : {answer.stats.summary()}")
-        if answer.stats.backend:
-            lines.append(f"backend      : {answer.stats.backend}")
         for operator_line in answer.stats.operator_summary():
             lines.append(f"  {operator_line}")
         if answer.stats.counters:

@@ -23,14 +23,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional
 
 from ..core.pdb import Method, ProbabilisticDatabase, Query, QueryAnswer
 from ..core.tid import TupleIndependentDatabase
-from ..logic.terms import Var
-from ..wmc.dpll import DPLLCounter
 from .cache import query_fingerprint
-from .stats import QueryStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import EngineSession
@@ -126,61 +123,9 @@ def _run_process_batch(
     # Merge results into the parent's cache so follow-up traffic hits warm.
     tid_fp = pdb.tid.fingerprint()
     for query, answer in zip(queries, answers):
-        key = ("answer", tid_fp, query_fingerprint(query), method.value, pdb.backend)
+        key = ("answer", tid_fp, query_fingerprint(query), method.value)
         if key not in session.cache:
             session.cache.put(key, answer)
         session.stats.record(answer.stats)
     return answers
 
-
-# -- parallel per-answer marginals -------------------------------------------
-
-
-def parallel_answers(
-    pdb: ProbabilisticDatabase,
-    query: Query,
-    head: Sequence[Union[str, Var]],
-    *,
-    max_workers: Optional[int] = None,
-    stats: Optional[QueryStats] = None,
-) -> dict[tuple, QueryAnswer]:
-    """Per-answer marginals with the model counts fanned across threads.
-
-    Mirrors :meth:`ProbabilisticDatabase.answers`: one shared grounding
-    pass, then each answer tuple's lineage is an independent weighted model
-    count, evaluated here by a pool of workers (one fresh
-    :class:`DPLLCounter` per answer). Results are identical to the
-    sequential route; only the schedule differs.
-    """
-    from ..lineage.build import answer_lineages
-    from ..logic.cq import parse_cq
-
-    stats = stats if stats is not None else QueryStats()
-    with stats.stage("parse"):
-        parsed = parse_cq(query) if isinstance(query, str) else query
-    pdb.check_arities(parsed)
-    head_vars = tuple(Var(h) if isinstance(h, str) else h for h in head)
-    missing = set(head_vars) - parsed.variables
-    if missing:
-        names = ", ".join(sorted(v.name for v in missing))
-        raise ValueError(f"head variables not in query: {names}")
-    with stats.stage("lineage"):
-        lineages, pool = answer_lineages(parsed, head_vars, pdb.tid)
-    probabilities = pool.probability_map()
-    items = sorted(lineages.items(), key=lambda kv: repr(kv[0]))
-
-    def count_one(item: tuple) -> tuple:
-        values, expr = item
-        result = DPLLCounter().run(expr, probabilities)
-        return values, QueryAnswer(
-            result.probability,
-            Method.DPLL,
-            exact=True,
-            detail="per-answer lineage",
-            stats=stats,
-        )
-
-    workers = default_workers(max_workers, len(items))
-    with stats.stage("count"):
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return dict(executor.map(count_one, items))

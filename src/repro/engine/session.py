@@ -13,14 +13,9 @@ entry kind              key
 parsed query            ``("parse", query_fp)``
 grounded lineage        ``("lineage", tid_fp, query_fp)``
 compiled circuit        ``("circuit", tid_fp, lineage_fp)``
-Boolean answer          ``("answer", tid_fp, query_fp, method, backend)``
+Boolean answer          ``("answer", tid_fp, query_fp, method)``
 per-answer marginals    ``("answers", tid_fp, query_fp·head)``
 ======================  =====================================================
-
-Answers are cached **per-backend**: the extensional backend in effect
-(``query(..., backend=...)``, else ``ProbabilisticDatabase.backend``) is
-part of the answer key, so the row and columnar executors keep their
-entries separate.
 
 ``tid_fp`` is the database's content hash
 (:meth:`~repro.core.tid.TupleIndependentDatabase.fingerprint`): mutating
@@ -85,12 +80,6 @@ class EngineSession:
     seed:
         When given, overrides the wrapped database's RNG seed so the
         approximate routes are reproducible.
-    backend:
-        When given, overrides the wrapped database's extensional backend
-        (``"rows"`` / ``"columnar"`` / ``"auto"``). Answers are cached
-        per-backend — the configured backend is part of the answer key —
-        so switching backends mid-session never serves a stale entry from
-        the other executor.
     """
 
     def __init__(
@@ -100,7 +89,6 @@ class EngineSession:
         cache_size: int = 256,
         max_workers: Optional[int] = None,
         seed: Optional[int] = None,
-        backend: Optional[str] = None,
     ):
         if db is None:
             self.pdb = ProbabilisticDatabase()
@@ -115,8 +103,6 @@ class EngineSession:
             )
         if seed is not None:
             self.pdb.seed = seed
-        if backend is not None:
-            self.pdb.backend = backend
         self.max_workers = max_workers
         self.cache = LRUCache(cache_size)
         self.stats = SessionStats()
@@ -138,27 +124,22 @@ class EngineSession:
         self,
         query: Query,
         method: Method = Method.AUTO,
-        *,
-        backend: Optional[str] = None,
     ) -> QueryAnswer:
         """Evaluate a Boolean query, serving repeats from the cache.
 
         Cache hits return the memoized answer (numerically identical to
         the cold evaluation) with a fresh stats record flagging the hit.
-        *backend* overrides the database's extensional backend for this
-        call only — concurrent callers never see each other's choice.
         """
-        backend = backend if backend is not None else self.pdb.backend
         stats = QueryStats()
         with stats.stage("lookup"):
             tid_fp = self.tid.fingerprint()
             qfp = query_fingerprint(query)
-            key = ("answer", tid_fp, qfp, method.value, backend)
+            key = ("answer", tid_fp, qfp, method.value)
             cached = self.cache.get(key)
         if cached is not None:
             return self._serve_hit(cached, stats)
         owner, answer = self._compute_once(
-            key, lambda: self._evaluate(query, method, tid_fp, qfp, stats, backend)
+            key, lambda: self._evaluate(query, method, tid_fp, qfp, stats)
         )
         if not owner:
             # Another worker computed this key while we waited on its
@@ -208,7 +189,6 @@ class EngineSession:
         tid_fp: str,
         qfp: str,
         stats: QueryStats,
-        backend: str,
     ) -> QueryAnswer:
         parsed = self._parse_cached(query, qfp)
         return self.pdb.probability(
@@ -216,7 +196,6 @@ class EngineSession:
             method,
             stats=stats,
             lineage_factory=self._lineage_factory(tid_fp, qfp),
-            backend=backend,
         )
 
     def _compute_once(
@@ -276,16 +255,8 @@ class EngineSession:
         self,
         query: Query,
         head: Sequence[Union[str, Var]],
-        *,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
     ) -> dict[tuple, QueryAnswer]:
-        """Per-answer marginals of a non-Boolean CQ, memoized as one unit.
-
-        With ``parallel=True`` the per-answer model counts run across a
-        thread pool (each answer tuple's lineage is an independent DPLL
-        problem); results are identical to the sequential route.
-        """
+        """Per-answer marginals of a non-Boolean CQ, memoized as one unit."""
         head_names = tuple(h.name if isinstance(h, Var) else str(h) for h in head)
         stats = QueryStats(route=Method.DPLL.value)
         with stats.stage("lookup"):
@@ -297,22 +268,11 @@ class EngineSession:
             stats.cache_hit = True
             self.stats.record(stats)
             return dict(cached)
-        if parallel:
-            from .batch import parallel_answers
-
-            out = parallel_answers(
-                self.pdb,
-                query,
-                head,
-                max_workers=max_workers if max_workers is not None else self.max_workers,
-                stats=stats,
-            )
-        else:
-            out = self.pdb.answers(query, head)
-            for answer in out.values():
-                if answer.stats is not None:
-                    stats.stages.update(answer.stats.stages)
-                    break
+        out = self.pdb.answers(query, head)
+        for answer in out.values():
+            if answer.stats is not None:
+                stats.stages.update(answer.stats.stages)
+                break
         self.cache.put(key, dict(out))
         self.stats.record(stats)
         return out

@@ -84,9 +84,6 @@ class QueryStats:
     stages: Dict[str, float] = field(default_factory=dict)
     cache_hit: bool = False
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Extensional backend that executed the plan ("rows" / "columnar");
-    #: empty for non-plan routes.
-    backend: str = ""
     #: Per-operator rows-in/rows-out traffic of the executed plan.
     operators: List[OperatorProfile] = field(default_factory=list)
 
@@ -143,8 +140,6 @@ class QueryStats:
             f"cache hit    : {self.cache_hit}",
             f"stage times  : {self.summary()}",
         ]
-        if self.backend:
-            lines.append(f"backend      : {self.backend}")
         for line in self.operator_summary():
             lines.append(f"  {line}")
         if self.counters:

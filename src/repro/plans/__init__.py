@@ -12,11 +12,7 @@ from .plan import (
     project_boolean,
 )
 from .safe_plan import CostModel, UnsafePlanError, safe_plan, try_safe_plan
-from .vectorized import (
-    COLUMNAR_AUTO_THRESHOLD,
-    execute_boolean_columnar,
-    execute_columnar,
-)
+from .vectorized import execute_boolean_columnar, execute_columnar
 from .dissociation import Dissociation, all_dissociations, minimal_dissociations
 from .bounds import (
     BoundsResult,
@@ -40,7 +36,6 @@ __all__ = [
     "UnsafePlanError",
     "safe_plan",
     "try_safe_plan",
-    "COLUMNAR_AUTO_THRESHOLD",
     "execute_boolean_columnar",
     "execute_columnar",
     "Dissociation",

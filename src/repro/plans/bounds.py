@@ -22,8 +22,9 @@ from ..lineage.build import lineage_of_cq
 from ..logic.cq import ConjunctiveQuery
 from ..sanitize import check_bounds
 from .dissociation import Dissociation, minimal_dissociations
-from .plan import execute_boolean, project_boolean
+from .plan import project_boolean
 from .safe_plan import safe_plan
+from .vectorized import execute_boolean_columnar
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ def plan_upper_bound(
     widened_query = dissociation.dissociated_query()
     widened_db = dissociation.dissociated_database(db)
     plan = project_boolean(safe_plan(widened_query))
-    return execute_boolean(plan, widened_db)
+    return execute_boolean_columnar(plan, widened_db)
 
 
 def oblivious_database(
@@ -88,7 +89,7 @@ def plan_lower_bound(
     widened_query = dissociation.dissociated_query()
     widened_db = dissociation.dissociated_database(rescaled)
     plan = project_boolean(safe_plan(widened_query))
-    return execute_boolean(plan, widened_db)
+    return execute_boolean_columnar(plan, widened_db)
 
 
 def extensional_bounds(

@@ -10,6 +10,11 @@ Executing a plan for a Boolean query yields a single number — the
 probability the plan *claims*. For safe plans that number equals p(Q)
 (Theorem: safe plans compute PQE); for any other plan of a self-join-free CQ
 it is an upper bound (Theorem 6.1).
+
+:func:`execute` / :func:`execute_boolean` interpret a plan tuple-at-a-time
+over dict-of-tuples relations. The engine runs every plan on the columnar
+executor of :mod:`repro.plans.vectorized`; this interpreter is the
+reference that tests and benchmark E16 compare it against.
 """
 
 from __future__ import annotations
@@ -94,8 +99,7 @@ def execute(
 
     *profile*, when given, collects one
     :class:`~repro.engine.stats.OperatorProfile` per operator in execution
-    order — the same instrumentation the columnar backend emits, so
-    ``explain()`` output is uniform across backends.
+    order — the same instrumentation the columnar executor emits.
     """
     if isinstance(plan, ScanNode):
         start = time.perf_counter()

@@ -1,14 +1,13 @@
-"""Columnar execution of extensional plans (the vectorized backend).
+"""Columnar execution of extensional plans: the executor of every safe plan.
 
-Runs the same plan trees as :mod:`repro.plans.plan` — ``ScanNode`` /
+Runs the plan trees of :mod:`repro.plans.plan` — ``ScanNode`` /
 ``JoinNode`` / ``ProjectNode`` — end-to-end over
 :class:`~repro.relational.columnar.ColumnarRelation`, so the whole
-evaluation is a short sequence of numpy array passes. Differential tests
-pin the two backends to agree within 1e-9 on every safe query; the engine
-picks between them through ``ProbabilisticDatabase.backend``
-(``"rows"`` / ``"columnar"`` / ``"auto"`` — auto selects columnar once the
-database holds at least :data:`COLUMNAR_AUTO_THRESHOLD` facts and numpy is
-importable).
+evaluation is a short sequence of numpy array passes. The safe-plan route
+and the Theorem 6.1 bounds both execute here. The tuple-at-a-time
+interpreter in :mod:`repro.plans.plan` is kept only as the reference:
+differential tests and benchmark E16 pin the two to agree within 1e-9 on
+every safe query.
 
 The only per-row Python is the one-time dictionary encoding of each base
 relation, memoized per ``(database version, predicate)`` on the database
@@ -26,35 +25,21 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+import numpy as np
+
 from ..core.tid import TupleIndependentDatabase
 from ..engine.stats import OperatorProfile
 from ..logic.formulas import Atom
 from ..logic.terms import Const, Var
 from ..relational import columnar
-from ..relational.columnar import NUMPY_AVAILABLE, ColumnarRelation
+from ..relational.columnar import ColumnarRelation
 from .plan import JoinNode, PlanNode, ProjectNode, ScanNode
 
-if NUMPY_AVAILABLE:  # pragma: no branch - numpy is a declared dependency
-    import numpy as np
-
 __all__ = [
-    "COLUMNAR_AUTO_THRESHOLD",
-    "available",
     "execute_boolean_columnar",
     "execute_columnar",
     "seed_scan_cache",
 ]
-
-#: ``backend="auto"`` switches to columnar at this many stored facts: below
-#: it, dict lookups beat array setup; above it, vectorized operators win by
-#: orders of magnitude (benchmark E16).
-COLUMNAR_AUTO_THRESHOLD = 5000
-
-
-def available() -> bool:
-    """True when the columnar backend can run (numpy importable)."""
-    return NUMPY_AVAILABLE
-
 
 # -- scan cache ---------------------------------------------------------------
 #

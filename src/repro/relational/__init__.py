@@ -1,13 +1,15 @@
 """Relational substrate: in-memory relations and (probabilistic) algebra.
 
-Two execution representations share one semantics: the row backend
-(:mod:`~repro.relational.relation` / :mod:`~repro.relational.algebra`,
-dict-of-tuples, tuple-at-a-time operators) and the columnar backend
+Two representations share one semantics: the columnar one
 (:mod:`~repro.relational.columnar`, dictionary-encoded numpy columns with
-vectorized operators and log-space ⊕-aggregation).
+vectorized operators and log-space ⊕-aggregation), on which safe plans run,
+and the row one (:mod:`~repro.relational.relation` /
+:mod:`~repro.relational.algebra`, dict-of-tuples, tuple-at-a-time
+operators), which stores the database and is the reference the columnar
+operators are tested against.
 """
 
-from .columnar import NUMPY_AVAILABLE, ColumnarRelation, ValueInterner, from_relation
+from .columnar import ColumnarRelation, ValueInterner, from_relation
 from .relation import Relation, relation_from_rows
 from .algebra import (
     boolean_oplus,
@@ -25,7 +27,6 @@ from .algebra import (
 )
 
 __all__ = [
-    "NUMPY_AVAILABLE",
     "ColumnarRelation",
     "ValueInterner",
     "from_relation",

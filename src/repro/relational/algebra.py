@@ -103,7 +103,7 @@ def union(left: Relation, right: Relation, name: str = "union") -> Relation:
     Built entirely through :meth:`Relation.add`, whose documented
     duplicate-row policy *is* the ⊕-combine — so union inherits the row
     validation (arity, probability range) instead of poking ``rows``
-    directly, and both backends share one definition of what a duplicate
+    directly, and both representations share one definition of what a duplicate
     row means.
     """
     if left.attributes != right.attributes:

@@ -1,13 +1,11 @@
-"""Columnar (vectorized) relations: the fast lane for extensional plans.
+"""Columnar (vectorized) relations: the executor of extensional plans.
 
 The paper's central scaling claim (Sec. 6) is that safe queries evaluate
 *extensionally* — inside ordinary relational query processing — in
-polynomial time. The row backend in :mod:`repro.relational.algebra` is a
-faithful but tuple-at-a-time implementation of those operators; this module
-is the MonetDB/X100-style columnar counterpart: a relation is a set of
-dictionary-encoded value columns plus one float64 probability vector, and
-every operator is a handful of numpy array passes with **zero per-row
-Python in the hot loop**.
+polynomial time. This module is the MonetDB/X100-style engine every safe
+plan runs on: a relation is a set of dictionary-encoded value columns plus
+one float64 probability vector, and every operator is a handful of numpy
+array passes with **zero per-row Python in the hot loop**.
 
 Layout
 ------
@@ -29,16 +27,14 @@ Operators
   rows, the same policy as :meth:`repro.relational.relation.Relation.add`),
   :func:`cartesian_product` and :func:`boolean_oplus`.
 
+The tuple-at-a-time operators of :mod:`repro.relational.algebra` define the
+same semantics one row at a time; tests pin every operator here to them.
+
 Converting to and from the row representation
 (:func:`from_relation` / :meth:`ColumnarRelation.to_relation`) is the only
 per-row work, and it happens once per base relation at the scan boundary —
 :mod:`repro.plans.vectorized` memoizes the encoded form per database
 version.
-
-numpy is a declared dependency, but the module degrades gracefully when it
-is absent: ``NUMPY_AVAILABLE`` is False and every entry point raises a
-clear error, so the row backend keeps working (see
-``ProbabilisticDatabase.backend``).
 """
 
 from __future__ import annotations
@@ -46,20 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from ..sanitize import RANK_INTERNER, RankedLock
-
-try:  # pragma: no cover - numpy is a declared dependency
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only in stripped envs
-    np = None  # type: ignore[assignment]
-    NUMPY_AVAILABLE = False
-
 from .relation import Relation
 
 __all__ = [
-    "NUMPY_AVAILABLE",
     "ColumnarRelation",
     "ValueInterner",
     "boolean_oplus",
@@ -71,14 +59,6 @@ __all__ = [
     "select_mask",
     "union",
 ]
-
-
-def _require_numpy() -> None:
-    if not NUMPY_AVAILABLE:
-        raise RuntimeError(
-            "the columnar backend requires numpy; install it or use the "
-            "row backend (backend='rows')"
-        )
 
 
 class ValueInterner:
@@ -100,7 +80,6 @@ class ValueInterner:
 
     def encode_column(self, values: Sequence[object]) -> "np.ndarray":
         """Encode one column of values into an ``int64`` code array."""
-        _require_numpy()
         codes = self._codes
         with self._lock:
             out = np.empty(len(values), dtype=np.int64)
@@ -211,7 +190,8 @@ class ColumnarRelation:
 
     def to_relation(self, interner: Optional[ValueInterner] = None) -> Relation:
         """Decode into the row representation (duplicates ⊕-combine via
-        :meth:`Relation.add`, the shared duplicate policy of both backends)."""
+        :meth:`Relation.add`, the duplicate policy both representations
+        share)."""
         interner = interner if interner is not None else DEFAULT_INTERNER
         decoded = [interner.decode_column(col) for col in self.columns]
         out = Relation(self.name, self.attributes)
@@ -222,7 +202,6 @@ class ColumnarRelation:
 
 def empty(name: str, attributes: Sequence[str]) -> ColumnarRelation:
     """An empty columnar relation with the given schema."""
-    _require_numpy()
     attributes = tuple(attributes)
     return ColumnarRelation(
         name,
@@ -236,7 +215,6 @@ def from_relation(
     relation: Relation, interner: Optional[ValueInterner] = None
 ) -> ColumnarRelation:
     """Encode a row relation into columns (the scan-boundary conversion)."""
-    _require_numpy()
     interner = interner if interner is not None else DEFAULT_INTERNER
     if not relation.rows:
         return empty(relation.name, relation.attributes)
@@ -397,7 +375,7 @@ def union(
     """Probabilistic union: same-schema rows combined with ⊕.
 
     The duplicate-row policy matches :meth:`Relation.add` and the row
-    backend's union: a row present on both sides gets ``u ⊕ v``.
+    representation's union: a row present on both sides gets ``u ⊕ v``.
     """
     if left.attributes != right.attributes:
         raise ValueError("union requires identical schemas")
@@ -430,7 +408,6 @@ def columnar_from_rows(
     probabilities: Iterable[float],
 ) -> ColumnarRelation:
     """Build directly from parallel row/probability iterables (test helper)."""
-    _require_numpy()
     relation = Relation(name, tuple(attributes))
     for values, prob in zip(rows, probabilities):
         relation.add(values, prob)

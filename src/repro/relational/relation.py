@@ -44,7 +44,7 @@ class Relation:
         """Insert a row; a duplicate row ⊕-combines with the existing one.
 
         This is the single duplicate-row policy of the engine, shared by
-        the row and columnar backends: adding the same value tuple twice
+        the row and columnar representations: adding the same value tuple twice
         yields ``u ⊕ v = 1 - (1-u)(1-v)``, treating the two insertions as
         independent evidence for the tuple (the Sec. 6 aggregate). To
         overwrite a row's probability instead, use :meth:`replace`.

@@ -32,13 +32,7 @@ from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
-try:  # pragma: no cover - numpy is a declared dependency
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only in stripped envs
-    np = None  # type: ignore[assignment]
-    NUMPY_AVAILABLE = False
+import numpy as np
 
 from ..core.tid import TupleIndependentDatabase
 from .columnar import (
@@ -60,14 +54,6 @@ __all__ = [
 _CODE_DTYPE = "int64"
 _PROB_DTYPE = "float64"
 _ITEMSIZE = 8  # both dtypes above
-
-
-def _require_numpy() -> None:
-    if not NUMPY_AVAILABLE:
-        raise RuntimeError(
-            "shared-memory shards require numpy; install it or serve with "
-            "mode='threads'"
-        )
 
 
 @dataclass(frozen=True)
@@ -112,7 +98,6 @@ class DatabaseShards:
         db: TupleIndependentDatabase,
         interner: Optional[ValueInterner] = None,
     ) -> None:
-        _require_numpy()
         interner = interner if interner is not None else DEFAULT_INTERNER
         self._segments: List[shared_memory.SharedMemory] = []
         fingerprint = db.fingerprint()
@@ -216,7 +201,6 @@ class AttachedShards:
     def __init__(
         self, handle: DatabaseHandle, interner: Optional[ValueInterner] = None
     ) -> None:
-        _require_numpy()
         self.handle = handle
         self.interner = interner if interner is not None else DEFAULT_INTERNER
         self._segments: List[shared_memory.SharedMemory] = []

@@ -45,7 +45,6 @@ class ServerClient:
         query: str,
         *,
         method: str = "ladder",
-        backend: Optional[str] = None,
         deadline_ms: Optional[float] = None,
         timeout_ms: Optional[float] = None,
         epsilon: Optional[float] = None,
@@ -62,7 +61,6 @@ class ServerClient:
         """
         payload: Dict[str, Any] = {"query": query, "method": method}
         for name, value in (
-            ("backend", backend),
             ("deadline_ms", deadline_ms),
             ("timeout_ms", timeout_ms),
             ("epsilon", epsilon),

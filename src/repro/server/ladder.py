@@ -194,7 +194,6 @@ class MethodLadder:
         delta: Optional[float] = None,
         scenario: Optional[ConditionedScenario] = None,
         scenario_id: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> RungAnswer:
         """Answer *query*, naming the rung and the guarantee it carries.
 
@@ -202,8 +201,6 @@ class MethodLadder:
         *deadline_s*; any engine route name evaluates that route directly
         (still reporting rung/guarantee uniformly). With *scenario* the
         answer is ``P(Q | Γ)`` through the conditioned rungs instead.
-        *backend* overrides the session's extensional backend for this
-        evaluation only; the shared session is never written.
         """
         start = time.perf_counter()
         eps = epsilon if epsilon is not None else self.default_epsilon
@@ -214,14 +211,14 @@ class MethodLadder:
             )
             return self._finish(answer, start, deadline_s)
         if method != "ladder":
-            answer = self._direct(query, Method(method), backend)
+            answer = self._direct(query, Method(method))
             return self._finish(answer, start, deadline_s)
         qfp = query_fingerprint(query)
 
-        exact = self._try_exact(query, qfp, start, deadline_s, backend)
+        exact = self._try_exact(query, qfp, start, deadline_s)
         if exact is not None:
             return self._finish(exact, start, deadline_s)
-        bounded = self._try_bounds(query, qfp, start, deadline_s, backend)
+        bounded = self._try_bounds(query, qfp, start, deadline_s)
         if bounded is not None:
             return self._finish(bounded, start, deadline_s)
         sampled = self._sampled(query, qfp, eps, dlt)
@@ -265,15 +262,13 @@ class MethodLadder:
             return self.session._parse_cached(query, qfp)
         return self.pdb.parse_query(query)
 
-    def _query_answer(
-        self, query: str, method: Method, backend: Optional[str]
-    ) -> QueryAnswer:
+    def _query_answer(self, query: str, method: Method) -> QueryAnswer:
         if self.use_cache:
-            return self.session.query(query, method, backend=backend)
-        return self.pdb.probability(query, method, backend=backend)
+            return self.session.query(query, method)
+        return self.pdb.probability(query, method)
 
-    def _direct(self, query: str, method: Method, backend: Optional[str]) -> RungAnswer:
-        answer = self._query_answer(query, method, backend)
+    def _direct(self, query: str, method: Method) -> RungAnswer:
+        answer = self._query_answer(query, method)
         rung, guarantee = "exact", "exact probability (no approximation)"
         if not answer.exact:
             kl = answer.method is Method.KARP_LUBY
@@ -385,7 +380,6 @@ class MethodLadder:
         qfp: str,
         start: float,
         deadline_s: Optional[float],
-        backend: Optional[str],
     ) -> Optional[RungAnswer]:
         # The polynomial route the query's structure admits: AUTO's decision,
         # which for the lifted rules is their cached data-free derivation.
@@ -396,7 +390,7 @@ class MethodLadder:
             remaining = self._remaining(start, deadline_s)
             if self._fits(self.predictor.predict(qfp, route.value), remaining):
                 attempt = time.perf_counter()
-                answer = self._query_answer(query, route, backend)
+                answer = self._query_answer(query, route)
                 self.predictor.observe(qfp, route.value, time.perf_counter() - attempt)
                 return self._exact_answer(answer)
         # Grounded DPLL: exponential worst case; gate on the lineage size
@@ -411,7 +405,7 @@ class MethodLadder:
         if not self._fits(self.predictor.predict(qfp, "dpll"), remaining):
             return None
         attempt = time.perf_counter()
-        answer = self._query_answer(query, Method.DPLL, backend)
+        answer = self._query_answer(query, Method.DPLL)
         self.predictor.observe(qfp, "dpll", time.perf_counter() - attempt)
         if route is None:  # say why no polynomial route was tried
             answer = replace(answer, detail=f"{answer.detail} ({reason})")
@@ -436,7 +430,6 @@ class MethodLadder:
         qfp: str,
         start: float,
         deadline_s: Optional[float],
-        backend: Optional[str],
     ) -> Optional[RungAnswer]:
         # The sandwich bounds self-join-free CQs only: decided from syntax.
         parsed = self._parse(query, qfp)
@@ -446,13 +439,7 @@ class MethodLadder:
         predicted = self.predictor.predict(qfp, "bounds")
         if remaining is not None and not self._fits(predicted, remaining):
             return None
-        cache_key = (
-            "ladder",
-            self.session.tid.fingerprint(),
-            qfp,
-            "bounds",
-            backend if backend is not None else self.pdb.backend,
-        )
+        cache_key = ("ladder", self.session.tid.fingerprint(), qfp, "bounds")
         cached = self._cached(cache_key)
         if cached is not None:
             return cached

@@ -6,11 +6,12 @@ A request is a JSON object::
     {"query": "R(x), S(x,y)",        # required: Boolean query text
      "method": "ladder",             # optional: "ladder" (default) or any
                                      #   engine route ("lifted", "dpll", ...)
-     "backend": "columnar",          # optional: extensional backend override
      "deadline_ms": 50,              # optional: degradation deadline
      "timeout_ms": 30000,            # optional: hard per-request timeout
      "epsilon": 0.2, "delta": 0.05,  # optional: error budget for degraded rungs
      "id": "req-17"}                 # optional: echoed back verbatim
+
+Keys the server does not know are ignored.
 
 A successful response names the ladder rung that answered and the
 guarantee that rung carries::
@@ -78,9 +79,6 @@ _DIRECT_METHODS = (
     "brute-force",
 )
 
-_BACKENDS = ("auto", "rows", "columnar")
-
-
 class ErrorCode(Enum):
     """Machine-readable error categories."""
 
@@ -109,7 +107,6 @@ class QueryRequest:
 
     query: str
     method: str = "ladder"
-    backend: Optional[str] = None
     deadline_ms: Optional[float] = None
     timeout_ms: Optional[float] = None
     epsilon: Optional[float] = None
@@ -124,16 +121,15 @@ class QueryRequest:
     def coalesce_key(self, db_fingerprint: str) -> tuple:
         """The identity under which concurrent requests share one answer.
 
-        ``(db_fingerprint, query, method, backend)`` per the serving
-        design, refined by the error budget so a caller asking for a
-        tighter ε/δ never receives a looser answer, and by the scenario
-        identity (conditioned and unconditioned answers never coalesce).
+        ``(db_fingerprint, query, method)`` per the serving design, refined
+        by the error budget so a caller asking for a tighter ε/δ never
+        receives a looser answer, and by the scenario identity (conditioned
+        and unconditioned answers never coalesce).
         """
         return (
             db_fingerprint,
             " ".join(self.query.split()),
             self.method,
-            self.backend,
             self.epsilon,
             self.delta,
             self.scenario,
@@ -241,12 +237,6 @@ def decode_request(line: str) -> Request:
             f"unknown method {method!r}; expected 'ladder' or one of "
             + ", ".join(_DIRECT_METHODS),
         )
-    backend = payload.get("backend")
-    if backend is not None and backend not in _BACKENDS:
-        raise ProtocolError(
-            ErrorCode.BAD_REQUEST,
-            f"unknown backend {backend!r}; expected one of {_BACKENDS}",
-        )
     delta = _optional_number(payload, "delta")
     if delta is not None and delta >= 1.0:
         raise ProtocolError(
@@ -285,7 +275,6 @@ def decode_request(line: str) -> Request:
     return QueryRequest(
         query=query,
         method=str(method),
-        backend=backend,
         deadline_ms=_optional_number(payload, "deadline_ms"),
         timeout_ms=_optional_number(payload, "timeout_ms"),
         epsilon=_optional_number(payload, "epsilon"),

@@ -10,10 +10,10 @@ shaped the same way in either mode. The event loop owns all connection
 state; results fan back out through asyncio futures. Three mechanics:
 
 * **Coalescing** — concurrent identical requests (same
-  ``(db_fingerprint, query, method, backend)`` identity, refined by error
-  budget) share one computation: the first becomes the *leader* and
-  submits to the evaluator, the rest await the leader's future and are
-  marked ``"coalesced": true`` in their answers. Answers are
+  ``(db_fingerprint, query, method)`` identity, refined by error budget)
+  share one computation: the first becomes the *leader* and submits to the
+  evaluator, the rest await the leader's future and are marked
+  ``"coalesced": true`` in their answers. Answers are
   byte-identical to what sequential evaluation would have returned.
 * **Admission control** — at most ``max_pending`` leader computations may
   be admitted (running + queued in the evaluator). Beyond that the server
@@ -166,7 +166,6 @@ def evaluate(
             delta=request.delta,
             scenario=scenario,
             scenario_id=request.scenario,
-            backend=request.backend,
         )
     except Exception as error:  # noqa: BLE001 - evaluation boundary
         return _error_payload(error)

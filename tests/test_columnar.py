@@ -1,51 +1,48 @@
-"""Tests for the columnar (vectorized) execution backend.
+"""Tests for the columnar (vectorized) executor of extensional plans.
 
 Three layers of coverage:
 
 * operator parity — hypothesis differential tests pin each columnar
-  operator to its row-backend counterpart within 1e-9 absolute error;
-* plan parity — whole safe plans evaluated by both backends on random
-  TIDs agree within 1e-9, including through the engine façade and the
-  per-backend session cache;
+  operator to its tuple-at-a-time counterpart in
+  :mod:`repro.relational.algebra` within 1e-9 absolute error;
+* plan parity — whole safe plans evaluated by the columnar executor and by
+  the rows interpreter (:func:`repro.plans.plan.execute_boolean`, the
+  oracle) on random TIDs agree within 1e-9, including through the engine
+  façade, which runs every safe plan on the columnar executor;
 * edge cases — empty relations, probability-0/1 rows through the
   log-space ⊕ path, joins with no shared attributes, projections to zero
-  columns, scan arity mismatches, and backend auto-selection.
+  columns and scan arity mismatches.
 """
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.core.pdb import Method, ProbabilisticDatabase
 from repro.core.tid import TupleIndependentDatabase
-from repro.engine.session import EngineSession
 from repro.logic.cq import parse_cq
 from repro.plans import (
-    COLUMNAR_AUTO_THRESHOLD,
+    execute_boolean,
     execute_boolean_columnar,
     execute_columnar,
     project_boolean,
     safe_plan,
 )
+from repro.plans import plan as rows_plan
+from repro.plans import vectorized
 from repro.plans.plan import ScanNode
-from repro.plans.vectorized import available
-from repro.relational import NUMPY_AVAILABLE, ColumnarRelation, algebra, columnar
+from repro.relational import ColumnarRelation, algebra, columnar
 from repro.relational.columnar import columnar_from_rows, from_relation
 from repro.relational.relation import Relation
 
 from conftest import TOLERANCE, close
 
-pytestmark = pytest.mark.skipif(
-    not NUMPY_AVAILABLE, reason="columnar backend requires numpy"
-)
-
-np = pytest.importorskip("numpy")
-
 VALUES = ("a", "b", "c", "d")
 
 
 def rows_match(columnar_rel: ColumnarRelation, row_rel: Relation) -> bool:
-    """Decoded columnar rows equal the row-backend rows within TOLERANCE."""
+    """Decoded columnar rows equal the tuple-at-a-time rows within TOLERANCE."""
     decoded = columnar_rel.to_relation()
     if set(decoded.rows) != set(row_rel.rows):
         return False
@@ -246,10 +243,8 @@ def random_tids(draw):
 
 @given(random_tids(), st.sampled_from(SAFE_QUERIES))
 @settings(max_examples=60, deadline=None)
-def test_safe_plan_backends_agree(db, query):
+def test_safe_plan_executors_agree(db, query):
     plan = project_boolean(safe_plan(parse_cq(query), db))
-    from repro.plans.plan import execute_boolean
-
     row = execute_boolean(plan, db)
     col = execute_boolean_columnar(plan, db)
     assert abs(row - col) <= TOLERANCE
@@ -258,16 +253,15 @@ def test_safe_plan_backends_agree(db, query):
 @given(random_tids(), st.sampled_from(SAFE_QUERIES))
 @settings(max_examples=40, deadline=None)
 def test_facade_backends_agree(db, query):
-    row = ProbabilisticDatabase(tid=db, backend="rows")
-    col = ProbabilisticDatabase(tid=db, backend="columnar")
-    a = row.probability(query, Method.SAFE_PLAN)
-    b = col.probability(query, Method.SAFE_PLAN)
-    assert abs(a.probability - b.probability) <= TOLERANCE
-    assert a.exact and b.exact
+    """The façade's safe-plan answer equals the rows oracle's."""
+    oracle = execute_boolean(project_boolean(safe_plan(parse_cq(query), db)), db)
+    answer = ProbabilisticDatabase(tid=db).probability(query, Method.SAFE_PLAN)
+    assert abs(answer.probability - oracle) <= TOLERANCE
+    assert answer.exact
 
 
 def test_columnar_agrees_with_ground_truth(small_db):
-    pdb = ProbabilisticDatabase(tid=small_db, backend="columnar")
+    pdb = ProbabilisticDatabase(tid=small_db)
     for query in SAFE_QUERIES:
         answer = pdb.probability(query, Method.SAFE_PLAN)
         truth = small_db.brute_force_probability(parse_cq(query).to_formula())
@@ -324,72 +318,66 @@ def test_operator_profile_records_row_counts(small_db):
     assert final.rows_out == 1
 
 
-# -- backend selection --------------------------------------------------------
+# -- the façade runs every safe plan on the columnar executor -----------------
 
 
-def test_backend_auto_threshold(small_db):
-    pdb = ProbabilisticDatabase(tid=small_db, backend="auto")
-    assert pdb.plan_backend() == "rows"  # tiny database stays on rows
-    big = TupleIndependentDatabase()
-    for i in range(COLUMNAR_AUTO_THRESHOLD):
-        big.add_fact("R", (f"v{i}",), 0.5)
-    assert ProbabilisticDatabase(tid=big, backend="auto").plan_backend() == (
-        "columnar" if available() else "rows"
-    )
+def _rows_forbidden(*args, **kwargs):
+    raise AssertionError("the rows interpreter ran outside the tests")
 
 
-def test_backend_forced_values(small_db):
-    assert ProbabilisticDatabase(tid=small_db, backend="rows").plan_backend() == "rows"
-    if available():
-        pdb = ProbabilisticDatabase(tid=small_db, backend="columnar")
-        assert pdb.plan_backend() == "columnar"
+def test_facade_runs_safe_plans_columnar_below_old_threshold(monkeypatch):
+    """On 1 600 facts AUTO and SAFE_PLAN run the plan on the columnar
+    executor, never on the rows interpreter, and answer what the rows
+    oracle and DPLL answer."""
+    db = TupleIndependentDatabase()
+    for i in range(400):
+        db.add_fact("R", (f"v{i}",), 0.05 + 0.9 * ((i * 37) % 100) / 100)
+        for j, y in enumerate(("y", "z", "w")):
+            db.add_fact("S", (f"v{i}", y), 0.1 + 0.8 * ((i * 13 + j * 7) % 50) / 50)
+    assert db.fact_count() == 1600
+    query = "R(x), S(x,'y')"
+    pdb = ProbabilisticDatabase(tid=db)
+    oracle = execute_boolean(project_boolean(safe_plan(parse_cq(query), db)), db)
+    dpll = pdb.probability(query, Method.DPLL).probability
+    assert close(oracle, dpll)
+
+    columnar_runs = []
+    run_columnar = vectorized.execute_columnar
+
+    def spy(*args, **kwargs):
+        columnar_runs.append(args[0])
+        return run_columnar(*args, **kwargs)
+
+    monkeypatch.setattr(vectorized, "execute_columnar", spy)
+    monkeypatch.setattr(rows_plan, "execute", _rows_forbidden)
+    for method in (Method.AUTO, Method.SAFE_PLAN):
+        columnar_runs.clear()
+        answer = pdb.probability(query, method)
+        assert answer.method is Method.SAFE_PLAN
+        assert columnar_runs, method
+        assert answer.stats.operators
+        assert close(answer.probability, oracle)
+        assert close(answer.probability, dpll)
 
 
-def test_backend_rejects_unknown_value(small_db):
-    pdb = ProbabilisticDatabase(tid=small_db, backend="typo")
-    with pytest.raises(ValueError, match="unknown backend"):
-        pdb.plan_backend()
-
-
-def test_answer_detail_names_backend(small_db):
-    pdb = ProbabilisticDatabase(tid=small_db, backend="columnar")
-    answer = pdb.probability("R(x), S(x,y)", Method.SAFE_PLAN)
-    assert "columnar backend" in answer.detail
-    assert answer.stats.backend == "columnar"
-
-
-# -- session integration ------------------------------------------------------
-
-
-def test_session_caches_per_backend(small_db):
-    query = "R(x), S(x,y)"
-    rows = EngineSession(small_db, backend="rows")
-    cold_rows = rows.query(query, Method.SAFE_PLAN)
-    col = EngineSession(small_db, backend="columnar")
-    cold_col = col.query(query, Method.SAFE_PLAN)
-    assert abs(cold_rows.probability - cold_col.probability) <= TOLERANCE
-    # the two backends never share cache entries
-    keys = {key for key in rows.cache.keys() if key[0] == "answer"}
-    assert all(key[-1] == "rows" for key in keys)
-    warm = rows.query(query, Method.SAFE_PLAN)
-    assert warm.stats.cache_hit
+# -- explain / CLI --------------------------------------------------------------
 
 
 def test_explain_answer_shows_operators(small_db):
     from repro.core.pdb import explain_answer
 
-    pdb = ProbabilisticDatabase(tid=small_db, backend="columnar")
+    pdb = ProbabilisticDatabase(tid=small_db)
     answer = pdb.probability("R(x), S(x,y)", Method.SAFE_PLAN)
     text = explain_answer("R(x), S(x,y)", answer)
-    assert "backend      : columnar" in text
     assert "scan" in text
 
 
-# -- CLI ----------------------------------------------------------------------
-
-
-def test_cli_backend_columnar(tmp_path, capsys):
+def test_cli_backend_columnar(tmp_path, capsys, monkeypatch):
+    """``query -m safe-plan --stats`` runs the plan on the columnar executor
+    and prints its per-operator profile."""
     from repro.cli import main
+
+    monkeypatch.setattr(rows_plan, "execute", _rows_forbidden)
 
     (tmp_path / "R.csv").write_text("x,P\na,0.5\nb,0.25\n")
     (tmp_path / "S.csv").write_text("x,y,P\na,a,0.8\na,b,0.3\nb,b,0.9\n")
@@ -402,12 +390,10 @@ def test_cli_backend_columnar(tmp_path, capsys):
             "R(x), S(x,y)",
             "-m",
             "safe-plan",
-            "--backend",
-            "columnar",
             "--stats",
         ]
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "columnar" in out
+    assert "safe plan" in out
     assert "scan" in out

@@ -354,18 +354,14 @@ def test_unsatisfiable_constraints_raise():
 
 
 SERVER_GAMMA = ["+R(1)", "S(x,y), T(y)"]
-SERVER_CASES = tuple(
-    (query, backend)
-    for query in ("R(2)", "R(x), S(x,y)", "R(x), S(x,y), T(y)")
-    for backend in (None, "rows", "columnar")
-)
+SERVER_CASES = ("R(2)", "R(x), S(x,y)", "R(x), S(x,y), T(y)")
 
 
 @pytest.mark.parametrize("mode", ("threads", "processes"))
 def test_server_conditioned_answers_match_brute_force(mode):
     pdb = _pdb()
     expected = {}
-    for query, backend in SERVER_CASES:
+    for query in SERVER_CASES:
         joint, gamma_mass = brute_conditioned(pdb, SERVER_GAMMA, query)
         expected[query] = joint / gamma_mass
     whatif_joint, whatif_mass = brute_conditioned(
@@ -380,12 +376,11 @@ def test_server_conditioned_answers_match_brute_force(mode):
             sid = installed["scenario"]
             # Idempotent: reinstalling returns the same id.
             assert client.condition(SERVER_GAMMA)["scenario"] == sid
-            for query, backend in SERVER_CASES:
-                response = client.query(query, scenario=sid, backend=backend)
+            for query in SERVER_CASES:
+                response = client.query(query, scenario=sid)
                 assert response["ok"], response
                 assert abs(response["probability"] - expected[query]) <= TOL, (
                     query,
-                    backend,
                     response,
                 )
             whatif = client.query("S(1,3)", scenario=sid, force={"R(2)": True})

@@ -152,8 +152,7 @@ def test_cache_hit_does_not_mutate_cached_entry(session):
     warm2 = session.query(query)
     assert warm1.stats is not warm2.stats  # fresh stats per serve
     cached = session.cache.get(("answer", session.tid.fingerprint(),
-                                query_fingerprint(query), Method.AUTO.value,
-                                session.pdb.backend))
+                                query_fingerprint(query), Method.AUTO.value))
     assert not cached.stats.cache_hit  # stored entry keeps its cold record
 
 
@@ -277,19 +276,14 @@ def test_circuit_cache_distinguishes_isomorphic_lineages():
     assert close(s_p, 0.9)
 
 
-def test_answers_memoized_and_parallel_agrees(small_db):
+def test_answers_memoized(small_db):
     session = EngineSession(small_db)
     cold = session.answers("R(x), S(x,y)", ["x"])
     warm = session.answers("R(x), S(x,y)", ["x"])
     assert {k: v.probability for k, v in cold.items()} == {
         k: v.probability for k, v in warm.items()
     }
-    parallel = EngineSession(small_db.copy()).answers(
-        "R(x), S(x,y)", ["x"], parallel=True
-    )
-    assert {k: v.probability for k, v in parallel.items()} == {
-        k: v.probability for k, v in cold.items()
-    }
+    assert session.stats.cache_hits == 1
 
 
 # -- instrumentation ----------------------------------------------------------

@@ -1,7 +1,5 @@
 """Routing edge cases for the façade's AUTO strategy."""
 
-from functools import partial
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +13,7 @@ from repro.lifted.errors import NonLiftableError
 from repro.logic.cq import ConjunctiveQuery, parse_cq, parse_ucq
 from repro.logic.formulas import Atom
 from repro.logic.terms import Const, Var
+from repro.plans import execute_boolean, execute_boolean_columnar, project_boolean, safe_plan
 from repro.server.ladder import MethodLadder
 from repro.workloads.generators import full_tid, random_tid
 
@@ -140,9 +139,11 @@ def test_auto_agrees_with_every_exact_route_on_safe_queries(case):
     assert auto.method is Method.SAFE_PLAN and auto.stats.reason
     expected = db.brute_force_probability(query.to_formula())
     assert close(auto.probability, expected)
-    for backend in ("rows", "columnar"):
-        pdb = ProbabilisticDatabase(tid=db, backend=backend)
-        assert close(pdb.probability(query, Method.SAFE_PLAN).probability, expected)
+    safe = ProbabilisticDatabase(tid=db).probability(query, Method.SAFE_PLAN)
+    assert close(safe.probability, expected)
+    plan = project_boolean(safe_plan(query, db))
+    for execute in (execute_boolean, execute_boolean_columnar):  # rows oracle, engine
+        assert close(execute(plan, db), expected)
     lifted = ProbabilisticDatabase(tid=db).probability(query, Method.LIFTED)
     assert close(lifted.probability, expected)
 
@@ -211,7 +212,7 @@ def test_arity_mismatch_is_a_value_error_on_every_route(pdb, method):
 
 def test_answers_rejects_arity_mismatch(pdb):
     session = EngineSession(pdb)
-    for answers in (pdb.answers, session.answers, partial(session.answers, parallel=True)):
+    for answers in (pdb.answers, session.answers):
         with pytest.raises(ValueError, match="R is stored with arity 1"):
             answers("R(x,y), S(x,y)", ["x"])
 

@@ -100,9 +100,7 @@ def _strip(response):
 # -- answer identity ----------------------------------------------------------
 
 _IDENTITY_REQUESTS = tuple(
-    (query, method, backend)
-    for query in QUERIES
-    for method, backend in (("ladder", None), ("dpll", "rows"), ("auto", "columnar"))
+    (query, method) for query in QUERIES for method in ("ladder", "dpll", "auto")
 )
 
 
@@ -121,12 +119,10 @@ def test_process_answers_byte_identical_to_threads(order):
     ) as pooled_server:
         with ServerClient("127.0.0.1", reference_server.port) as reference_client:
             with ServerClient("127.0.0.1", pooled_server.port) as pooled_client:
-                for query, method, backend in order:
-                    reference = reference_client.query(
-                        query, method=method, backend=backend
-                    )
-                    pooled = pooled_client.query(query, method=method, backend=backend)
-                    assert _strip(pooled) == _strip(reference), (query, method, backend)
+                for query, method in order:
+                    reference = reference_client.query(query, method=method)
+                    pooled = pooled_client.query(query, method=method)
+                    assert _strip(pooled) == _strip(reference), (query, method)
 
 
 @settings(
@@ -137,17 +133,33 @@ def test_process_answers_byte_identical_to_threads(order):
 @given(
     query=st.sampled_from(QUERIES),
     method=st.sampled_from(METHODS),
-    backend=st.sampled_from([None, "rows", "columnar"]),
 )
-def test_sharded_answers_equal_threads(
-    threads_server, process_server, query, method, backend
-):
+def test_sharded_answers_equal_threads(threads_server, process_server, query, method):
     """Routing across 2 long-lived workers preserves the answer envelope."""
     with ServerClient("127.0.0.1", threads_server.port) as client:
-        reference = client.query(query, method=method, backend=backend)
+        reference = client.query(query, method=method)
     with ServerClient("127.0.0.1", process_server.port) as client:
-        pooled = client.query(query, method=method, backend=backend)
+        pooled = client.query(query, method=method)
     assert _strip(pooled) == _strip(reference)
+
+
+@pytest.mark.parametrize("server", ["threads_server", "process_server"])
+def test_legacy_backend_field_changes_nothing(request, server):
+    """A request still carrying the retired ``"backend"`` key is answered
+    exactly as the same request without it: the key is ignored as unknown."""
+    port = request.getfixturevalue(server).port
+    cases = [(query, "ladder") for query in QUERIES] + [("R(x), S(x,y)", "safe-plan")]
+    with ServerClient("127.0.0.1", port) as client:
+        for query, method in cases:
+            for backend in ("rows", "columnar", "auto"):
+                legacy = client.request(
+                    {"query": query, "method": method, "backend": backend, "id": "old"}
+                )
+                plain = client.request({"query": query, "method": method, "id": "new"})
+                assert legacy["ok"], legacy
+                for response in (legacy, plain):
+                    del response["id"], response["elapsed_ms"]
+                assert legacy == plain, (query, method, backend)
 
 
 def test_process_error_responses_match_threads(threads_server, process_server):
@@ -167,9 +179,9 @@ def test_process_error_responses_match_threads(threads_server, process_server):
 
 
 def test_ladder_serves_safe_point_query_by_safe_plan_in_both_modes():
-    """A safe point query on a database past the columnar threshold takes
-    the extensional route on the exact rung — not the lifted engine's
-    domain-wide grounding — and the envelope is the same in both modes."""
+    """A safe point query on a 5 000-fact database takes the extensional
+    route on the exact rung — not the lifted engine's domain-wide
+    grounding — and the envelope is the same in both modes."""
     big = TupleIndependentDatabase()
     for i in range(100):
         big.add_fact("R", (f"k{i}",), 0.5 + i / 400)
@@ -183,7 +195,7 @@ def test_ladder_serves_safe_point_query_by_safe_plan_in_both_modes():
                 answers.append(client.query("R(x), S(x,'v7')"))
     threads, processes = answers
     assert threads["method"] == "safe-plan" and threads["rung"] == "exact"
-    assert "columnar" in threads["detail"]
+    assert threads["detail"].startswith("safe plan: ")
     assert _strip(processes) == _strip(threads)
     assert processes["detail"] == threads["detail"]
     expected = 1.0

@@ -67,7 +67,6 @@ def test_decode_request_rejects_garbage():
         "{}",
         '{"query": ""}',
         '{"query": "R(x)", "method": "sorcery"}',
-        '{"query": "R(x)", "backend": "gpu"}',
         '{"query": "R(x)", "deadline_ms": -5}',
         '{"query": "R(x)", "epsilon": "wide"}',
         '{"query": "R(x)", "delta": 1.5}',
@@ -190,19 +189,16 @@ def test_different_seed_different_sampled_answer():
 @given(
     query=st.sampled_from(QUERIES),
     method=st.sampled_from(METHODS),
-    backend=st.sampled_from([None, "rows", "columnar"]),
     fanout=st.integers(min_value=2, max_value=5),
 )
-def test_coalesced_fanout_identical_to_sequential(
-    server, query, method, backend, fanout
-):
+def test_coalesced_fanout_identical_to_sequential(server, query, method, fanout):
     """Coalesced fan-out answers are byte-identical to sequential answers."""
     results = []
     lock = threading.Lock()
 
     def fire():
         with ServerClient("127.0.0.1", server.port) as client:
-            response = client.query(query, method=method, backend=backend)
+            response = client.query(query, method=method)
             with lock:
                 results.append(response)
 
@@ -214,7 +210,7 @@ def test_coalesced_fanout_identical_to_sequential(
     assert len(results) == fanout
 
     with ServerClient("127.0.0.1", server.port) as client:
-        sequential = client.query(query, method=method, backend=backend)
+        sequential = client.query(query, method=method)
 
     def answer_bytes(response):
         assert response.get("ok"), response
@@ -255,43 +251,6 @@ def test_concurrent_identical_requests_coalesce(server):
     # served from the cache; the server never computed 6 times.
     engine_misses = server.server.session.stats.cache_misses
     assert engine_misses <= 2
-
-
-def test_concurrent_mixed_backends_leave_the_shared_session_alone():
-    """A per-request backend travels down as an argument: concurrent
-    requests naming different backends never switch the shared session's
-    backend, and every safe-plan answer names the backend its request
-    asked for (``auto`` resolves to rows on this small database)."""
-    session = EngineSession(small_tid(), seed=11)
-    assert session.pdb.backend == "auto"
-    resolved_auto = session.pdb.plan_backend()
-    # Uncached evaluation: every request runs a plan, reading its backend.
-    config = ServerConfig(workers=4, coalesce=False)
-    mismatches = []
-    lock = threading.Lock()
-    with ServerThread(session, config, registry=MetricsRegistry()) as thread:
-
-        def fire(backend):
-            expected = backend if backend is not None else resolved_auto
-            with ServerClient("127.0.0.1", thread.port) as client:
-                for i in range(150):
-                    query = ("R(x), S(x,y)", "S(x,y), T(y)")[i % 2]
-                    response = client.query(query, method="safe-plan", backend=backend)
-                    if not response["ok"] or f"({expected} backend)" not in response["detail"]:
-                        with lock:
-                            mismatches.append((backend, response))
-
-        clients = [
-            threading.Thread(target=fire, args=(backend,))
-            for backend in ("rows", "columnar", None, None)
-        ]
-        for client in clients:
-            client.start()
-        for client in clients:
-            client.join(timeout=120)
-            assert not client.is_alive(), "client hung"
-    assert not mismatches, mismatches[:3]
-    assert session.pdb.backend == "auto"
 
 
 def test_overlong_lines_answer_bad_request_then_close(server):

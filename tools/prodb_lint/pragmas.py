@@ -41,7 +41,7 @@ silently ignored — with the offending token named, so a typo like
 instead of only where it sits.
 
 ``exact`` marks intentional bit-exact IEEE equality only. Code computing
-in log space — notably the columnar backend's ⊕-aggregation in
+in log space — notably the columnar executor's ⊕-aggregation in
 ``src/repro/relational/columnar.py``, where ``log1p``/``expm1`` round-trips
 leave results a few ulps off the ideal 0.0/1.0 — compares through
 ``math.isclose`` or explicit tolerances instead of pragma-blessed float

@@ -2,7 +2,7 @@
 
 The session layer (`repro.engine`) targets the serving workload the
 ROADMAP aims at: the same queries arriving over and over against a
-database that changes rarely. Two measurements:
+database that changes rarely. Three measurements:
 
 * **cold vs warm** — a workload of mixed safe/hard queries evaluated
   twice through one `EngineSession`; the second pass is pure cache
@@ -11,7 +11,11 @@ database that changes rarely. Two measurements:
 * **sequential vs batch** — a repeated-traffic workload evaluated (a) by
   the plain uncached façade, one call at a time, and (b) by one
   `query_batch` call whose workers share the cache and deduplicate
-  in-flight work, so each distinct query is computed exactly once.
+  in-flight work, so each distinct query is computed exactly once;
+* **write to an unread relation** — after the workload is warm, a fact is
+  added to ``Audit``, which no workload query names. The workload is all
+  CQs/UCQs, whose answers are keyed on the relations they read, so every
+  re-read must still be a cache hit with a bit-identical answer.
 
 Cached answers are asserted numerically identical to uncached ones.
 
@@ -70,6 +74,23 @@ def batch_vs_sequential(domain_size=5, repeat=4):
     return sequential_time, batch_time, identical, session
 
 
+def unread_write_reread(domain_size=5):
+    """Warm the workload, write to an unread relation, re-read it.
+
+    Returns the re-read time, whether every re-read hit the cache, and
+    whether every re-read answer is bit-identical to the warm one.
+    """
+    session = EngineSession(full_tid(41, domain_size), seed=0)
+    warm = [session.query(q) for q in WORKLOAD]
+    session.add_fact("Audit", ("a-new-constant",), 1.0)
+    start = time.perf_counter()
+    reread = [session.query(q) for q in WORKLOAD]
+    reread_time = time.perf_counter() - start
+    all_hits = all(a.stats.cache_hit for a in reread)
+    identical = [a.probability for a in reread] == [a.probability for a in warm]
+    return reread_time, all_hits, identical
+
+
 # -- assertions (tier-1 / CI) -------------------------------------------------
 
 
@@ -102,6 +123,12 @@ def test_e14_cached_equals_uncached():
         warm = session.query(query)
         assert warm.probability == cold.probability
         assert cold.probability == reference.probability(query).probability
+
+
+def test_e14_unread_write_keeps_answers_cached():
+    _, all_hits, identical = unread_write_reread(domain_size=4)
+    assert all_hits
+    assert identical
 
 
 # Filled by main() for run_all_tables.py / BENCH_results.json.
@@ -156,6 +183,16 @@ def main():
         ],
     )
     print(session.report())
+    print()
+
+    reread_time, all_hits, identical = unread_write_reread(domain_size)
+    print_table(
+        "E14c: write to an unread relation, then re-read the warm workload",
+        ["pass", "time", "all hits", "bit-identical"],
+        [("re-read after Audit write", f"{reread_time * 1e3:.3f}ms", str(all_hits), str(identical))],
+    )
+    if not (all_hits and identical):
+        raise SystemExit("E14c: a write to an unread relation disturbed cached answers")
     BENCH_RESULTS.update(
         {
             "cold_warm_speedup": round(cold_time / warm_time, 1),

@@ -35,6 +35,9 @@ class TupleIndependentDatabase:
     _fingerprint_cache: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _domain_text_cache: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _domain_cache: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -126,32 +129,82 @@ class TupleIndependentDatabase:
         """Record an out-of-band mutation (e.g. a direct ``Relation.add``).
 
         Mutations performed through :meth:`add_relation` / :meth:`add_fact`
-        call this automatically; code that reaches into ``tid.relations``
-        and mutates a relation directly must call it by hand so that caches
-        keyed on :meth:`fingerprint` notice the change.
+        / :meth:`set_fact` call this automatically. A direct
+        ``Relation.add`` / ``replace`` keeps its relation's digest and
+        version current by itself, so :meth:`read_fingerprint` (the
+        session's CQ/UCQ keys) and the per-relation scan memo notice it
+        without help. What still needs this call is everything memoized per
+        TID :attr:`version`: the :meth:`domain` and :meth:`fingerprint`
+        memos, and any outside cache keyed on :attr:`version`; also a
+        relation swapped in or removed through ``tid.relations`` directly.
+        Writing ``relation.rows[...]`` directly is covered by nothing: it
+        leaves the relation's digest stale (``REPRO_SANITIZE=1`` reports it
+        on the next fingerprint).
         """
         self._version += 1
 
     def fingerprint(self) -> str:
         """A content hash of the database: facts, probabilities and domain.
 
-        Two TIDs with the same stored tuples, probabilities and explicit
-        domain share a fingerprint, even across :meth:`copy` — this is the
-        content-addressed key used by :class:`repro.engine.EngineSession`
-        to memoize lineage and query answers. The hash is recomputed only
-        when :attr:`version` (or the explicit domain) changes, so repeated
+        Two TIDs with the same relations (name, arity, rows and
+        probabilities) and the same explicit domain share a fingerprint,
+        even across :meth:`copy`. It hashes the sorted ``(name, arity,
+        relation digest)`` triples (see
+        :meth:`repro.relational.relation.Relation.digest`) plus the explicit
+        domain, so it costs O(#relations) once each digest exists — writes
+        keep the digests current in O(1) — and it is memoized per
+        ``(version, explicit_domain)`` like :meth:`domain`, so repeated
         calls on an unchanged database are O(1).
+
+        :class:`repro.engine.EngineSession` keys a CQ/UCQ's cached work on
+        :meth:`read_fingerprint` of the predicates it names instead — a
+        positive query is domain-independent, so its answer is a function of
+        those relations alone — and falls back to this whole-database hash
+        for every other sentence (``forall``, negation, ``->``), whose answer
+        depends on the active domain and hence on every relation.
         """
         key = (self._version, self.explicit_domain)
         if self._fingerprint_cache is None or self._fingerprint_cache[0] != key:
-            digest = hashlib.blake2b(digest_size=16)
-            for name, values, prob in self.facts():
-                digest.update(repr((name, values, prob)).encode())
-            if self.explicit_domain is not None:
-                digest.update(b"|domain|")
-                digest.update(repr(sorted(self.explicit_domain, key=repr)).encode())
-            self._fingerprint_cache = (key, digest.hexdigest())
+            self._fingerprint_cache = (key, self.read_fingerprint(self.relations))
+        elif (
+            sanitize_enabled()
+            and self._fingerprint_cache[1] != self.read_fingerprint(self.relations)
+        ):
+            raise SanitizerError(
+                "stale fingerprint() memo: a direct Relation.add/replace lacks its tid.touch()"
+            )
         return self._fingerprint_cache[1]
+
+    def read_fingerprint(self, predicates: Iterable[str]) -> str:
+        """A content hash of the named relations plus the explicit domain.
+
+        A name with no stored relation hashes as absent, so creating that
+        relation later changes the hash. Under ``REPRO_SANITIZE=1`` each
+        maintained relation digest is cross-checked against a fresh one:
+        a mismatch means ``relation.rows`` was written directly.
+        """
+        check = sanitize_enabled()
+        parts = []
+        for name in sorted(predicates):
+            relation = self.relations.get(name)
+            if relation is None:
+                parts.append(f"{name!r} absent")
+                continue
+            if check and relation.digest() != relation.full_digest():
+                raise SanitizerError(
+                    f"stale digest of relation {name}: its rows were written "
+                    "directly instead of through Relation.add/replace"
+                )
+            parts.append(f"{name!r} {relation.arity} {relation.digest():x}")
+        if self.explicit_domain is not None:
+            parts.append(self._explicit_domain_text())
+        return hashlib.blake2b("\n".join(parts).encode(), digest_size=16).hexdigest()
+
+    def _explicit_domain_text(self) -> str:
+        domain = self.explicit_domain
+        if self._domain_text_cache is None or self._domain_text_cache[0] is not domain:
+            self._domain_text_cache = (domain, f"domain {sorted(domain, key=repr)!r}")
+        return self._domain_text_cache[1]
 
     def domain(self) -> tuple:
         """The active domain (or the explicit one when set), sorted; memoized

@@ -5,9 +5,11 @@ with the machinery a server needs under heavy repeated traffic:
 
 * :class:`EngineSession` — memoizes parsed queries, lineages, compiled
   circuits and final answers in one content-addressed LRU cache keyed by
-  ``(tid_fingerprint, query_fingerprint, method)``; mutating the database
-  changes its fingerprint, so stale entries become unreachable without any
-  explicit invalidation protocol;
+  ``(read_key, query_fingerprint, method)``, where ``read_key`` hashes the
+  relations a CQ/UCQ names (it is domain-independent) and the whole
+  database for any other sentence; a write changes the digest of the
+  relation it touches, so exactly the entries that read it become
+  unreachable, without any explicit invalidation protocol;
 * :meth:`EngineSession.query_batch` — evaluates many queries concurrently
   through :mod:`concurrent.futures`, sharing the cache (and deduplicating
   in-flight work) across workers;

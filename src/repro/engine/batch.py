@@ -8,7 +8,7 @@ Three strategies, picked per workload:
   workers share the session's LRU cache and in-flight deduplication. Under
   the GIL threads don't speed up a single cold CPU-bound count, but for
   the traffic this layer targets — many queries with repeats — the shared
-  cache means each distinct ``(database, query, method)`` is computed once
+  cache means each distinct ``(relations read, query, method)`` is computed once
   no matter how many times it appears, and I/O-ish stages overlap;
 * ``"process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor` for
   genuinely parallel cold workloads on multicore machines. Each worker
@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.pdb import Method, ProbabilisticDatabase, Query, QueryAnswer
 from ..core.tid import TupleIndependentDatabase
-from .cache import query_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import EngineSession
@@ -121,9 +120,8 @@ def _run_process_batch(
     ) as pool:
         answers = list(pool.map(_eval_in_worker, [(q, method.value) for q in queries]))
     # Merge results into the parent's cache so follow-up traffic hits warm.
-    tid_fp = pdb.tid.fingerprint()
     for query, answer in zip(queries, answers):
-        key = ("answer", tid_fp, query_fingerprint(query), method.value)
+        key = session.answer_key(query, method)
         if key not in session.cache:
             session.cache.put(key, answer)
         session.stats.record(answer.stats)

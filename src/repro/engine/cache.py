@@ -3,11 +3,17 @@
 The engine memoizes every intermediate artifact of query evaluation —
 parsed queries, lineage expressions, compiled circuits and final answers —
 in one bounded LRU map. Keys are tuples
-``(kind, tid_fingerprint, query_fingerprint, ...)`` where both fingerprints
-are content hashes: mutating the database changes its fingerprint (see
-:meth:`repro.core.tid.TupleIndependentDatabase.fingerprint`), which makes
-every entry derived from the old contents unreachable — invalidation by
-construction, with stale entries aging out through normal LRU eviction.
+``(kind, read_key, query_fingerprint, ...)`` where both parts are content
+hashes. ``read_key`` covers exactly the data the answer depends on: for a
+domain-independent CQ/UCQ, the content digests of the relations it names
+plus the explicit domain
+(:meth:`repro.core.tid.TupleIndependentDatabase.read_fingerprint`); for any
+other sentence, whose answer depends on the active domain, the
+whole-database :meth:`~repro.core.tid.TupleIndependentDatabase.fingerprint`.
+A write changes the digest of the relation it touches, which makes every
+entry derived from the old contents of that relation unreachable —
+invalidation by construction, with stale entries aging out through normal
+LRU eviction. See :mod:`repro.engine.session` for the full key table.
 
 This module imports nothing from the rest of the package — except
 :mod:`repro.sanitize`, which itself imports only the standard library — so

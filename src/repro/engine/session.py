@@ -10,20 +10,37 @@ cache (:class:`~repro.engine.cache.LRUCache`):
 ======================  =====================================================
 entry kind              key
 ======================  =====================================================
-parsed query            ``("parse", query_fp)``
-grounded lineage        ``("lineage", tid_fp, query_fp)``
-compiled circuit        ``("circuit", tid_fp, lineage_fp)``
-Boolean answer          ``("answer", tid_fp, query_fp, method)``
-per-answer marginals    ``("answers", tid_fp, query_fp·head)``
+parsed query            ``("parse", query_fp)`` → ``(parsed, read set)``
+grounded lineage        ``("lineage", read_key, query_fp)``
+compiled circuit        ``("circuit", lineage_fp)``
+Boolean answer          ``("answer", read_key, query_fp, method)``
+per-answer marginals    ``("answers", read_key, query_fp·head)``
 ======================  =====================================================
 
-``tid_fp`` is the database's content hash
-(:meth:`~repro.core.tid.TupleIndependentDatabase.fingerprint`): mutating
-the database changes the hash, so every entry derived from the old
-contents simply stops being addressable — invalidation needs no explicit
-protocol, and stale entries age out through LRU eviction. Mutations that
-bypass the TID's own methods (e.g. poking ``tid.relations[...]`` directly)
-must be announced with ``tid.touch()``.
+``read_key`` addresses exactly the data an answer depends on. The paper's
+UCQs are domain-independent: over a TID, P(Q) of a CQ or UCQ is a function
+of the relations Q names and nothing else. So for a parsed
+:class:`~repro.logic.cq.ConjunctiveQuery` or
+:class:`~repro.logic.cq.UnionOfConjunctiveQueries`, ``read_key`` is
+:meth:`~repro.core.tid.TupleIndependentDatabase.read_fingerprint` of the
+predicates it names (an absent relation hashes as absent) plus the explicit
+domain, and a write to any other relation leaves its entries addressable.
+Every other sentence (``forall``, negation, ``->``) depends on the active
+domain, which any relation can extend, so its ``read_key`` falls back to the
+whole-database :meth:`~repro.core.tid.TupleIndependentDatabase.fingerprint`.
+The read set is computed once per query text and travels with the cached
+parse, so a hit parses nothing. Circuits need no database component at all:
+``lineage_fp`` already binds the expression to its facts and weights.
+
+Both hashes are built from per-relation content digests that
+``Relation.add`` / ``replace`` keep current in O(1), so a write costs
+O(1) and changes exactly the keys of the queries that read the written
+relation: their old entries simply stop being addressable — invalidation
+needs no explicit protocol, and stale entries age out through LRU
+eviction. The whole-database fingerprint is memoized per TID version, so
+an out-of-band ``Relation.add`` must still be announced with
+``tid.touch()``; a direct write to ``relation.rows`` bypasses the digests
+and is not supported (``REPRO_SANITIZE=1`` reports both).
 
 Cached answers are returned verbatim (bit-identical probabilities, same
 derivation detail) with a fresh :class:`~repro.engine.stats.QueryStats`
@@ -33,8 +50,8 @@ deterministic within a session, since the first estimate is reused.
 :meth:`EngineSession.query_batch` evaluates many queries through
 :mod:`concurrent.futures`, sharing the cache across workers and
 deduplicating in-flight work: when several workers race on the same
-``(tid_fp, query_fp, method)`` key, one computes and the rest wait on its
-future. See :mod:`repro.engine.batch` for the executor strategies.
+answer key, one computes and the rest wait on its future. See
+:mod:`repro.engine.batch` for the executor strategies.
 """
 
 from __future__ import annotations
@@ -52,6 +69,7 @@ from ..core.pdb import (
 )
 from ..booleans.kernel import clear_kernel_memos
 from ..core.tid import TupleIndependentDatabase
+from ..logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..logic.terms import Var
 from ..sanitize import (
     RANK_INFLIGHT,
@@ -132,14 +150,13 @@ class EngineSession:
         """
         stats = QueryStats()
         with stats.stage("lookup"):
-            tid_fp = self.tid.fingerprint()
-            qfp = query_fingerprint(query)
-            key = ("answer", tid_fp, qfp, method.value)
+            parsed, read_key, qfp = self._keyed(query)
+            key = ("answer", read_key, qfp, method.value)
             cached = self.cache.get(key)
         if cached is not None:
             return self._serve_hit(cached, stats)
         owner, answer = self._compute_once(
-            key, lambda: self._evaluate(query, method, tid_fp, qfp, stats)
+            key, lambda: self._evaluate(parsed, method, read_key, qfp, stats)
         )
         if not owner:
             # Another worker computed this key while we waited on its
@@ -184,18 +201,17 @@ class EngineSession:
 
     def _evaluate(
         self,
-        query: Query,
+        parsed: object,
         method: Method,
-        tid_fp: str,
+        read_key: str,
         qfp: str,
         stats: QueryStats,
     ) -> QueryAnswer:
-        parsed = self._parse_cached(query, qfp)
         return self.pdb.probability(
-            parsed,
+            parsed,  # type: ignore[arg-type]
             method,
             stats=stats,
-            lineage_factory=self._lineage_factory(tid_fp, qfp),
+            lineage_factory=self._lineage_factory(read_key, qfp),
         )
 
     def _compute_once(
@@ -228,19 +244,44 @@ class EngineSession:
             with self._inflight_lock:
                 self._inflight.pop(key, None)
 
-    def _parse_cached(self, query: Query, qfp: str) -> object:
-        if not isinstance(query, str):
-            return query
-        key = ("parse", qfp)
-        parsed = self.cache.get(key)
-        if parsed is None:
-            parsed = self.pdb.parse_query(query)
-            self.cache.put(key, parsed)
-        return parsed
+    # -- cache keys ------------------------------------------------------------
 
-    def _lineage_factory(self, tid_fp: str, qfp: str) -> Callable:
+    def answer_key(self, query: Query, method: Method = Method.AUTO) -> tuple:
+        """The cache key of *query*'s Boolean answer under *method*."""
+        _, read_key, qfp = self._keyed(query)
+        return ("answer", read_key, qfp, method.value)
+
+    def lineage_key(self, query: Query) -> tuple:
+        """The cache key of *query*'s grounded lineage."""
+        _, read_key, qfp = self._keyed(query)
+        return ("lineage", read_key, qfp)
+
+    def _keyed(self, query: Query) -> tuple[object, str, str]:
+        """``(parsed, read_key, query_fp)`` for *query* (see the module doc)."""
+        qfp = query_fingerprint(query)
+        parsed, reads = self._parse_entry(query, qfp)
+        read_key = self.tid.fingerprint() if reads is None else self.tid.read_fingerprint(reads)
+        return parsed, read_key, qfp
+
+    def _parse_entry(
+        self, query: Query, qfp: str
+    ) -> tuple[object, Optional[tuple[str, ...]]]:
+        if not isinstance(query, str):
+            return query, read_set(query)
+        key = ("parse", qfp)
+        entry = self.cache.get(key)
+        if entry is None:
+            parsed = self.pdb.parse_query(query)
+            entry = (parsed, read_set(parsed))
+            self.cache.put(key, entry)
+        return entry
+
+    def _parse_cached(self, query: Query, qfp: str) -> object:
+        return self._parse_entry(query, qfp)[0]
+
+    def _lineage_factory(self, read_key: str, qfp: str) -> Callable:
         def factory(parsed: object) -> object:
-            key = ("lineage", tid_fp, qfp)
+            key = ("lineage", read_key, qfp)
             lineage = self.cache.get(key)
             if lineage is None:
                 lineage = self.pdb._lineage(parsed)
@@ -260,9 +301,8 @@ class EngineSession:
         head_names = tuple(h.name if isinstance(h, Var) else str(h) for h in head)
         stats = QueryStats(route=Method.DPLL.value)
         with stats.stage("lookup"):
-            tid_fp = self.tid.fingerprint()
-            qfp = query_fingerprint(query, head=head_names)
-            key = ("answers", tid_fp, qfp)
+            _, read_key, _ = self._keyed(query)
+            key = ("answers", read_key, query_fingerprint(query, head=head_names))
             cached = self.cache.get(key)
         if cached is not None:
             stats.cache_hit = True
@@ -286,27 +326,23 @@ class EngineSession:
         without paying for grounding twice (the same cache entry feeds the
         subsequent evaluation).
         """
-        tid_fp = self.tid.fingerprint()
-        qfp = query_fingerprint(query)
-        parsed = self._parse_cached(query, qfp)
-        return self._lineage_factory(tid_fp, qfp)(parsed)
+        parsed, read_key, qfp = self._keyed(query)
+        return self._lineage_factory(read_key, qfp)(parsed)
 
     # -- circuit-backed analyses ----------------------------------------------
 
     def _compiled(self, query: Query) -> tuple:
         from ..wmc.dpll import compile_decision_dnnf
 
-        tid_fp = self.tid.fingerprint()
-        qfp = query_fingerprint(query)
-        parsed = self._parse_cached(query, qfp)
+        parsed, read_key, qfp = self._keyed(query)
         self.pdb.check_arities(parsed)
-        lineage = self._lineage_factory(tid_fp, qfp)(parsed)
+        lineage = self._lineage_factory(read_key, qfp)(parsed)
         # Key the circuit by the lineage — interned expression plus its
         # variable→fact binding — not the query text: distinct spellings
         # share one compiled decision-DNNF exactly when their groundings
         # agree. The expression id alone would collide across queries,
         # since BVar indices restart at 0 in every per-query pool.
-        key = ("circuit", tid_fp, lineage_fingerprint(lineage))
+        key = ("circuit", lineage_fingerprint(lineage))
         entry = self.cache.get(key)
         if entry is None:
             compiled = compile_decision_dnnf(lineage.expr, lineage.probabilities())
@@ -346,9 +382,9 @@ class EngineSession:
     def invalidate(self) -> None:
         """Drop every memoized artifact.
 
-        Not needed after ordinary mutations — the fingerprint keys handle
-        those — but useful to release memory or after out-of-band changes
-        when ``tid.touch()`` was forgotten. Releasing memory really works:
+        Not needed after ordinary mutations — the content-digest keys
+        handle those — but useful to release memory or after out-of-band
+        changes when ``tid.touch()`` was forgotten. Releasing memory really works:
         the Boolean kernel's memo tables (pure caches, shared
         process-wide) are cleared alongside the session cache, and the
         kernel's unique table holds expressions only weakly, so the
@@ -374,3 +410,11 @@ class EngineSession:
                 f"{self.cache.stats}",
             ]
         )
+
+
+def read_set(parsed: object) -> Optional[tuple[str, ...]]:
+    """The predicates a domain-independent query reads, sorted; ``None``
+    for any other sentence, whose answer depends on the whole database."""
+    if isinstance(parsed, (ConjunctiveQuery, UnionOfConjunctiveQueries)):
+        return tuple(sorted(parsed.predicates))
+    return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..booleans.expr import BExpr
+from ..booleans.expr import BExpr, evaluate
 from ..lineage.build import Lineage
 from ..logic.cq import ConjunctiveQuery
 from ..logic.terms import Var
@@ -81,21 +81,66 @@ def order_from_facts(lineage: Lineage, key: Callable) -> list[int]:
 
 
 def exhaustive_minimum_size(expr: BExpr, variables: Sequence[int]) -> int:
-    """Minimum OBDD size over *all* orders (factorially expensive).
+    """Minimum OBDD size over *all* orders of *variables*, computed exactly.
 
-    Only usable for a handful of variables; it certifies the "every OBDD is
-    large" direction of Theorem 7.1(i)(b) on small instances.
+    Certifies the "every OBDD is large" direction of Theorem 7.1(i)(b) on
+    small instances. Rather than compiling all n! orders, it runs the exact
+    subset dynamic program of Friedman and Supowit: under any order whose
+    first variables form the set ``T``, the reduced OBDD has one node
+    labelled by the next variable ``x`` per distinct cofactor of *expr* over
+    the assignments to ``T`` that still depends on ``x`` — a count fixed by
+    ``T`` and ``x``, not by the order inside ``T``. Hence::
+
+        best[∅] = 0
+        best[S] = min over x ∈ S of  best[S ∖ x] + #{cofactors over S ∖ x that depend on x}
+
+    and ``best[variables]`` equals the internal-node count
+    :meth:`repro.kc.obdd.OBDD.size` reports for the best order. Cofactors are
+    truth tables held as 2ⁿ-bit integers; the work is still exponential in
+    n, but 8 variables take milliseconds where the n! sweep took seconds.
     """
-    import itertools
+    variables = list(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError("variable list contains duplicates")
+    missing = expr.variables() - set(variables)
+    if missing:
+        raise ValueError(f"expression variables {sorted(missing)} are not in the order")
+    n = len(variables)
+    full = (1 << (1 << n)) - 1
+    # masks[j]: the truth table of variable j (bit m is set iff bit j of m is).
+    masks = [
+        sum(1 << m for m in range(1 << n) if m >> j & 1) for j in range(n)
+    ]
+    table = sum(
+        1 << m
+        for m in range(1 << n)
+        if evaluate(expr, {v: bool(m >> j & 1) for j, v in enumerate(variables)})
+    )
 
-    from .obdd import compile_obdd
+    def cofactor(g: int, j: int, value: bool) -> int:
+        shift = 1 << j
+        if value:
+            part = g & masks[j]
+            return part | (part >> shift)
+        part = g & (full ^ masks[j])
+        return part | (part << shift)
 
-    best = None
-    for order in itertools.permutations(variables):
-        manager, root = compile_obdd(expr, order)
-        size = manager.size(root)
-        if best is None or size < best:
-            best = size
-    if best is None:
-        raise ValueError("no variables supplied")
-    return best
+    cofactors: dict[int, set[int]] = {0: {table}}
+    best = [0] * (1 << n)
+    for subset in range(1, 1 << n):
+        low = (subset & -subset).bit_length() - 1
+        cofactors[subset] = {
+            cofactor(g, low, value)
+            for g in cofactors[subset ^ (1 << low)]
+            for value in (False, True)
+        }
+        candidates = []
+        for j in range(n):
+            if subset >> j & 1:
+                rest = subset ^ (1 << j)
+                nodes = sum(
+                    cofactor(g, j, False) != cofactor(g, j, True) for g in cofactors[rest]
+                )
+                candidates.append(best[rest] + nodes)
+        best[subset] = min(candidates)
+    return best[-1]

@@ -10,9 +10,10 @@ differential tests and benchmark E16 pin the two to agree within 1e-9 on
 every safe query.
 
 The only per-row Python is the one-time dictionary encoding of each base
-relation, memoized per ``(database version, predicate)`` on the database
-instance itself — repeat queries against an unchanged database scan
-pre-encoded columns, and the memo dies with the database.
+relation, memoized per relation on that relation's version, on the database
+instance itself — repeat queries scan pre-encoded columns, a write
+re-encodes only the relation it touched, and the memo dies with the
+database.
 
 Both executors accept an optional *profile* list and append one
 :class:`~repro.engine.stats.OperatorProfile` per operator (rows in, rows
@@ -33,6 +34,7 @@ from ..logic.formulas import Atom
 from ..logic.terms import Const, Var
 from ..relational import columnar
 from ..relational.columnar import ColumnarRelation
+from ..relational.relation import Relation
 from .plan import JoinNode, PlanNode, ProjectNode, ScanNode
 
 __all__ = [
@@ -43,13 +45,26 @@ __all__ = [
 
 # -- scan cache ---------------------------------------------------------------
 #
-# Stored on the database instance as ``(version, {predicate: encoded
-# relation})``; the version check drops every entry the moment the database
-# mutates, and the memo is garbage-collected with the database. Races
-# between batch workers at worst encode the same relation twice — both
-# results are equivalent.
+# Stored on the database instance as ``{predicate: (relation, relation
+# version, encoded relation)}``. An entry serves only while the database
+# still holds that same relation object at that same version, so a write to
+# ``S`` re-encodes ``S`` alone and a relation swapped out under its name is
+# never confused with its predecessor; the memo is garbage-collected with
+# the database. Races between batch workers at worst encode the same
+# relation twice — both results are equivalent.
 
 _SCAN_CACHE_ATTR = "_columnar_scan_cache"
+
+
+_ScanEntry = tuple[Relation, int, ColumnarRelation]
+
+
+def _scan_memo(db: TupleIndependentDatabase) -> dict[str, _ScanEntry]:
+    memo = getattr(db, _SCAN_CACHE_ATTR, None)
+    if memo is None:
+        memo = {}
+        setattr(db, _SCAN_CACHE_ATTR, memo)
+    return memo
 
 
 def _encoded_relation(
@@ -58,15 +73,12 @@ def _encoded_relation(
     relation = db.relations.get(predicate)
     if relation is None:
         return None
-    cached: Optional[tuple[int, dict[str, ColumnarRelation]]]
-    cached = getattr(db, _SCAN_CACHE_ATTR, None)
-    if cached is None or cached[0] != db.version:
-        cached = (db.version, {})
-        setattr(db, _SCAN_CACHE_ATTR, cached)
-    encoded = cached[1].get(predicate)
-    if encoded is None:
-        encoded = columnar.from_relation(relation)
-        cached[1][predicate] = encoded
+    memo = _scan_memo(db)
+    entry = memo.get(predicate)
+    if entry is not None and entry[0] is relation and entry[1] == relation.version:
+        return entry[2]
+    encoded = columnar.from_relation(relation)
+    memo[predicate] = (relation, relation.version, encoded)
     return encoded
 
 
@@ -75,12 +87,17 @@ def seed_scan_cache(
 ) -> None:
     """Pre-populate the per-database scan memo with *encoded* relations.
 
-    Used by the multi-process server: a worker that attaches shared-memory
-    shards (:mod:`repro.relational.shm`) already holds every base relation
-    in columnar form, so seeding the memo makes the first scan of each
+    Each must encode the relation of that name as it stands now. Used by
+    the multi-process server: a worker that attaches shared-memory shards
+    (:mod:`repro.relational.shm`) already holds every base relation in
+    columnar form, so seeding the memo makes the first scan of each
     predicate zero-copy instead of re-encoding the rows.
     """
-    setattr(db, _SCAN_CACHE_ATTR, (db.version, dict(encoded)))
+    memo = _scan_memo(db)
+    for predicate, relation_encoded in encoded.items():
+        relation = db.relations.get(predicate)
+        if relation is not None:
+            memo[predicate] = (relation, relation.version, relation_encoded)
 
 
 # -- plan execution -----------------------------------------------------------

@@ -5,12 +5,29 @@ every relation one extra attribute ``P`` holding the tuple's marginal
 probability (Sec. 2). :class:`Relation` follows that convention: rows map a
 value tuple to its probability; a deterministic relation simply has every
 probability equal to 1.
+
+Every relation also keeps an order-independent content digest — the sum
+mod 2¹²⁸ of one 128-bit blake2b hash per ``(values, probability)`` row —
+built lazily on the first :meth:`Relation.digest` call and kept current by
+:meth:`Relation.add` / :meth:`Relation.replace` in O(1) per write (subtract
+the old row's hash, add the new one). Caches key on it; writing
+``relation.rows`` directly bypasses it (``REPRO_SANITIZE=1`` catches that,
+see :meth:`repro.core.tid.TupleIndependentDatabase.fingerprint`).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Optional
+
+_DIGEST_MASK = (1 << 128) - 1
+
+
+def _row_hash(values: tuple, prob: float) -> int:
+    """One row's 128-bit contribution to its relation's digest."""
+    raw = hashlib.blake2b(repr((values, prob)).encode(), digest_size=16).digest()
+    return int.from_bytes(raw, "little")
 
 
 @dataclass
@@ -20,6 +37,8 @@ class Relation:
     name: str
     attributes: tuple[str, ...]
     rows: dict[tuple, float] = field(default_factory=dict)
+    _digest: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _version: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.attributes, tuple):
@@ -30,6 +49,31 @@ class Relation:
     @property
     def arity(self) -> int:
         return len(self.attributes)
+
+    @property
+    def version(self) -> int:
+        """A counter bumped by every :meth:`add` / :meth:`replace`."""
+        return self._version
+
+    def digest(self) -> int:
+        """The order-independent content digest of the rows (see module doc).
+
+        The first call hashes every row; afterwards writes keep it current.
+        """
+        if self._digest is None:
+            self._digest = self.full_digest()
+        return self._digest
+
+    def full_digest(self) -> int:
+        """The digest recomputed from scratch, ignoring the maintained one."""
+        return sum(_row_hash(values, p) for values, p in self.rows.items()) & _DIGEST_MASK
+
+    def _write(self, values: tuple, old: Optional[float], prob: float) -> None:
+        if self._digest is not None:
+            delta = _row_hash(values, prob) - (0 if old is None else _row_hash(values, old))
+            self._digest = (self._digest + delta) & _DIGEST_MASK
+        self.rows[values] = prob
+        self._version += 1
 
     def _check_row(self, values: tuple, prob: float) -> None:
         if len(values) != self.arity:
@@ -53,15 +97,15 @@ class Relation:
         self._check_row(values, prob)
         existing = self.rows.get(values)
         if existing is None:
-            self.rows[values] = float(prob)
+            self._write(values, None, float(prob))
         else:
-            self.rows[values] = 1.0 - (1.0 - existing) * (1.0 - float(prob))
+            self._write(values, existing, 1.0 - (1.0 - existing) * (1.0 - float(prob)))
 
     def replace(self, values: Iterable, prob: float) -> None:
         """Set a row's probability outright (insert when absent)."""
         values = tuple(values)
         self._check_row(values, prob)
-        self.rows[values] = float(prob)
+        self._write(values, self.rows.get(values), float(prob))
 
     def probability(self, values: Iterable) -> float:
         """Marginal probability of the tuple; 0.0 when absent."""
@@ -85,7 +129,9 @@ class Relation:
         return frozenset(v for values in self.rows for v in values)
 
     def copy(self) -> "Relation":
-        return Relation(self.name, self.attributes, dict(self.rows))
+        clone = Relation(self.name, self.attributes, dict(self.rows))
+        clone._digest = self._digest
+        return clone
 
     def map_probabilities(self, fn: Callable[[float], float]) -> "Relation":
         """A copy with every probability transformed by *fn*."""

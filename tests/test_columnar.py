@@ -305,6 +305,20 @@ def test_columnar_scan_cache_invalidated_on_mutation(small_db):
     assert after > before  # fresh facts visible ⇒ cache was dropped
 
 
+def test_columnar_scan_cache_reencodes_only_the_written_relation(small_db):
+    from repro.plans.vectorized import _encoded_relation
+
+    plan = project_boolean(safe_plan(parse_cq("R(x), S(x,y)"), small_db))
+    execute_boolean_columnar(plan, small_db)
+    encoded_r, encoded_s = _encoded_relation(small_db, "R"), _encoded_relation(small_db, "S")
+    small_db.add_fact("S", ("zz", "zz"), 0.99)
+    assert _encoded_relation(small_db, "R") is encoded_r
+    assert _encoded_relation(small_db, "S") is not encoded_s
+    # a relation swapped in under the same name is never served the old encoding
+    small_db.relations["R"] = small_db.relations["R"].copy()
+    assert _encoded_relation(small_db, "R") is not encoded_r
+
+
 def test_operator_profile_records_row_counts(small_db):
     from repro.engine.stats import OperatorProfile
 

@@ -151,8 +151,7 @@ def test_cache_hit_does_not_mutate_cached_entry(session):
     warm1 = session.query(query)
     warm2 = session.query(query)
     assert warm1.stats is not warm2.stats  # fresh stats per serve
-    cached = session.cache.get(("answer", session.tid.fingerprint(),
-                                query_fingerprint(query), Method.AUTO.value))
+    cached = session.cache.get(session.answer_key(query, Method.AUTO))
     assert not cached.stats.cache_hit  # stored entry keeps its cold record
 
 
@@ -229,8 +228,7 @@ def test_invalidate_releases_kernel_memory():
 def test_lineage_shared_between_methods(session):
     query = "R(x), S(x,y), T(y)"  # hard: both routes ground it
     session.query(query, Method.DPLL)
-    tid_fp = session.tid.fingerprint()
-    key = ("lineage", tid_fp, query_fingerprint(query))
+    key = session.lineage_key(query)
     assert key in session.cache
     hits_before = session.cache.stats.hits
     session.query(query, Method.MONTE_CARLO)  # distinct answer key, same lineage
@@ -240,10 +238,9 @@ def test_lineage_shared_between_methods(session):
 def test_circuit_memoized_across_analyses(session):
     query = "R(x), S(x,y)"
     session.tuple_posteriors(query)
-    tid_fp = session.tid.fingerprint()
     # circuit entries are keyed by the lineage: expression + fact binding
-    lineage = session.cache.get(("lineage", tid_fp, query_fingerprint(query)))
-    key = ("circuit", tid_fp, lineage_fingerprint(lineage))
+    lineage = session.cache.get(session.lineage_key(query))
+    key = ("circuit", lineage_fingerprint(lineage))
     assert key in session.cache
     hits_before = session.cache.stats.hits
     session.most_probable_world(query)

@@ -1,6 +1,7 @@
 """Unit tests for repro.kc: circuits, OBDDs, orders, and Figure 2."""
 
 import itertools
+import random
 
 import pytest
 
@@ -242,3 +243,40 @@ def test_exhaustive_minimum_exceeds_bound_for_h0():
     n = 2
     minimum = exhaustive_minimum_size(lin.expr, sorted(lin.expr.variables()))
     assert minimum >= (2 ** n - 1) / n
+
+
+def _random_expr(rng, variables):
+    # an OR of ANDs of literals, sometimes conjoined with a second one
+    def dnf():
+        terms = []
+        for _ in range(rng.randint(2, 4)):
+            chosen = rng.sample(variables, rng.randint(1, min(3, len(variables))))
+            terms.append(band(*(bnot(bvar(v)) if rng.random() < 0.2 else bvar(v) for v in chosen)))
+        return bor(*terms)
+
+    return band(dnf(), dnf()) if rng.random() < 0.4 else dnf()
+
+
+def _sweep_minimum(expr, variables):
+    best = None
+    for order in itertools.permutations(variables):
+        manager, root = compile_obdd(expr, order)
+        size = manager.size(root)
+        best = size if best is None else min(best, size)
+    return best
+
+
+def test_exhaustive_minimum_matches_permutation_sweep():
+    # The subset DP must report the smallest reduced-OBDD node count that
+    # compiling every one of the n! orders finds, on random expressions of
+    # up to 6 variables; the order list may name variables the expression
+    # lacks.
+    rng = random.Random(7)
+    for trial in range(40):
+        variables = rng.sample(range(10), rng.randint(1, 6))
+        expr = _random_expr(rng, variables)
+        minimum = exhaustive_minimum_size(expr, variables)
+        assert minimum == _sweep_minimum(expr, variables), (trial, expr)
+    assert exhaustive_minimum_size(band(bvar(0), bnot(bvar(0))), [0]) == 0
+    with pytest.raises(ValueError):
+        exhaustive_minimum_size(bvar(3), [0, 1])

@@ -8,6 +8,7 @@ import pytest
 from repro.core.tid import TupleIndependentDatabase
 from repro.logic.parser import parse
 from repro.logic.transform import COMPLEMENT_SUFFIX
+from repro.relational.relation import Relation
 from repro.sanitize import SanitizerError, prodb_sanitize
 
 from conftest import close
@@ -71,6 +72,79 @@ def test_stale_domain_memo_is_caught_by_the_sanitizer():
             db.domain()
         db.touch()
         assert db.domain() == ("a", "b")
+    finally:
+        prodb_sanitize(previous)
+
+
+def test_relation_digest_is_maintained_per_write_and_order_free():
+    relation = Relation("S", ("a", "b"))
+    assert relation.digest() == relation.full_digest() == 0
+    for values, p in [(("a", "b"), 0.5), (("b", "c"), 0.25), (("a", "b"), 0.5)]:
+        relation.add(values, p)  # the repeat ⊕-combines the stored row
+        assert relation.digest() == relation.full_digest()
+    relation.replace(("b", "c"), 0.9)
+    relation.replace(("b", "c"), 0.25)
+    assert relation.digest() == relation.full_digest()
+    assert relation.version == 5
+    reordered = Relation("S", ("a", "b"))
+    reordered.add(("b", "c"), 0.25)
+    reordered.add(("a", "b"), 0.75)
+    assert reordered.digest() == relation.digest()  # insertion order is irrelevant
+    assert relation.copy().digest() == relation.digest()
+
+
+def test_fingerprint_is_over_relation_digests_and_domain():
+    db = TupleIndependentDatabase()
+    db.add_fact("R", ("a",), 0.5)
+    db.add_fact("Audit", ("z",), 1.0)
+    fp, reads_r = db.fingerprint(), db.read_fingerprint(["R"])
+    db.add_fact("Audit", ("y",), 1.0)
+    assert db.fingerprint() != fp
+    assert db.read_fingerprint(["R"]) == reads_r  # Audit is not read
+    assert db.read_fingerprint(["R", "U"]) != reads_r  # U absent, still named
+    db.add_relation("U", ("a0",))
+    assert db.read_fingerprint(["R", "U"]) != db.read_fingerprint(["R"])
+    db.explicit_domain = frozenset({"a", "y", "z"})
+    assert db.read_fingerprint(["R"]) != reads_r
+    assert db.copy().fingerprint() == db.fingerprint()
+    # a direct Relation.add updates R's digest by itself; the whole-database
+    # memo, like domain(), waits for touch()
+    before, reads_before = db.fingerprint(), db.read_fingerprint(["R"])
+    db.relations["R"].add(("b",), 0.5)
+    assert db.read_fingerprint(["R"]) != reads_before
+    db.touch()
+    assert db.fingerprint() != before
+
+
+def test_direct_rows_write_is_caught_by_the_sanitizer():
+    db = TupleIndependentDatabase()
+    db.add_fact("R", ("a",), 0.5)
+    db.fingerprint()  # builds R's digest
+    db.relations["R"].rows[("b",)] = 0.5  # bypasses Relation.add
+    db.touch()
+    previous = prodb_sanitize(True)
+    try:
+        with pytest.raises(SanitizerError, match="written directly"):
+            db.fingerprint()
+        with pytest.raises(SanitizerError, match="written directly"):
+            db.read_fingerprint(["R"])
+    finally:
+        prodb_sanitize(previous)
+
+
+def test_stale_fingerprint_memo_is_caught_by_the_sanitizer():
+    db = TupleIndependentDatabase()
+    db.add_fact("R", ("a",), 0.5)
+    stale = db.fingerprint()
+    db.relations["R"].add(("b",), 0.5)  # direct mutation, no touch()
+    previous = prodb_sanitize(False)
+    try:
+        assert db.fingerprint() == stale  # memoized per version, silently
+        prodb_sanitize(True)
+        with pytest.raises(SanitizerError, match=r"touch\(\)"):
+            db.fingerprint()
+        db.touch()
+        assert db.fingerprint() != stale
     finally:
         prodb_sanitize(previous)
 

@@ -1,4 +1,4 @@
-"""E14 — engine sessions: content-addressed caching and batched execution.
+"""E14 — engine sessions: content-addressed caching of repeated traffic.
 
 The session layer (`repro.engine`) targets the serving workload the
 ROADMAP aims at: the same queries arriving over and over against a
@@ -8,10 +8,10 @@ database that changes rarely. Three measurements:
   twice through one `EngineSession`; the second pass is pure cache
   (fingerprint + LRU lookup) and must be ≥ 5× faster (in practice it is
   orders of magnitude faster);
-* **sequential vs batch** — a repeated-traffic workload evaluated (a) by
-  the plain uncached façade, one call at a time, and (b) by one
-  `query_batch` call whose workers share the cache and deduplicate
-  in-flight work, so each distinct query is computed exactly once;
+* **sequential vs batch** — a repeated-traffic workload evaluated one
+  call at a time (a) by the plain uncached façade and (b) by one
+  `EngineSession`, whose cache computes each distinct query exactly once
+  and serves every repeat;
 * **write to an unread relation** — after the workload is warm, a fact is
   added to ``Audit``, which no workload query names. The workload is all
   CQs/UCQs, whose answers are keyed on the relations they read, so every
@@ -56,7 +56,7 @@ def cold_warm_times(domain_size=5, warm_rounds=3):
 
 
 def batch_vs_sequential(domain_size=5, repeat=4):
-    """Repeated traffic: plain uncached loop vs one cache-sharing batch."""
+    """Repeated traffic: plain uncached loop vs the same loop on a session."""
     queries = list(WORKLOAD) * repeat
     uncached = ProbabilisticDatabase(tid=full_tid(41, domain_size), seed=0)
     start = time.perf_counter()
@@ -65,7 +65,7 @@ def batch_vs_sequential(domain_size=5, repeat=4):
 
     session = EngineSession(full_tid(41, domain_size), seed=0)
     start = time.perf_counter()
-    batched = session.query_batch(queries, executor="thread")
+    batched = [session.query(q) for q in queries]
     batch_time = time.perf_counter() - start
 
     identical = [a.probability for a in batched] == [
@@ -175,7 +175,7 @@ def main():
                 "-",
             ),
             (
-                "query_batch (threads + shared cache)",
+                "sequential, session cache",
                 f"{batch_time * 1e3:.1f}ms",
                 f"{sequential_time / batch_time:.1f}×",
                 str(identical),

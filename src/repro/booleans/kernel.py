@@ -60,7 +60,7 @@ class KernelStatistics:
     the hit/miss counters are **per thread** (see
     :class:`_ThreadLocalCounters`), so before/after deltas taken around a
     computation attribute exactly that thread's traffic — correct even
-    while the engine's batch executor runs other queries concurrently.
+    while other serving threads run other queries concurrently.
     """
 
     unique_nodes: int
@@ -140,7 +140,7 @@ class NodeManager:
     def intern(self, key: Hashable, node: "BExpr") -> "BExpr":
         """Insert *node* under *key* unless an equal node already exists.
 
-        A lost race between batch-executor threads can briefly yield two
+        A lost race between serving threads can briefly yield two
         structurally-equal objects with distinct ids; that is benign —
         ``BExpr.__eq__`` falls back to structural comparison, and nid-keyed
         caches merely miss once.

@@ -99,15 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inference route (default: auto)",
     )
     batch.add_argument(
-        "--executor",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="batch execution strategy (default: thread)",
-    )
-    batch.add_argument(
-        "--workers", type=int, default=None, help="worker count (default: auto)"
-    )
-    batch.add_argument(
         "--repeat",
         type=int,
         default=1,
@@ -321,12 +312,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         load_tid(args.files), cache_size=args.cache_size, seed=args.seed
     )
     queries = list(args.queries) * args.repeat
-    answers = session.query_batch(
-        queries,
-        Method(args.method),
-        executor=args.executor,
-        max_workers=args.workers,
-    )
+    method = Method(args.method)
+    answers = [session.query(query, method) for query in queries]
     for query, answer in zip(queries, answers):
         served = "cached" if answer.stats and answer.stats.cache_hit else answer.method.value
         print(f"P({query}) = {answer.probability:.10g}  [{served}]")

@@ -1,4 +1,4 @@
-"""The session layer: content-addressed caching, batching, instrumentation.
+"""The session layer: content-addressed caching and instrumentation.
 
 ``repro.engine`` wraps the single-query façade of :mod:`repro.core.pdb`
 with the machinery a server needs under heavy repeated traffic:
@@ -10,9 +10,6 @@ with the machinery a server needs under heavy repeated traffic:
   database for any other sentence; a write changes the digest of the
   relation it touches, so exactly the entries that read it become
   unreachable, without any explicit invalidation protocol;
-* :meth:`EngineSession.query_batch` — evaluates many queries concurrently
-  through :mod:`concurrent.futures`, sharing the cache (and deduplicating
-  in-flight work) across workers;
 * :mod:`repro.engine.stats` — per-query stage timings and per-session
   aggregate counters, surfaced through ``QueryAnswer.stats``, ``explain()``
   and the ``--stats`` CLI flag.

@@ -57,10 +57,10 @@ class LRUCache:
     """A bounded mapping with least-recently-used eviction.
 
     All operations take an internal re-entrant lock, so the cache may be
-    shared freely across the worker threads of
-    :meth:`repro.engine.session.EngineSession.query_batch`. The lock is a
+    shared freely across the worker threads of threads-mode serving
+    (:class:`repro.server.service.ThreadEvaluator`). The lock is a
     :class:`repro.sanitize.RankedLock`: under ``REPRO_SANITIZE=1`` it
-    asserts the engine's lock order (in-flight < cache < stats).
+    asserts the engine's lock order (cache < stats).
     """
 
     def __init__(self, maxsize: int = 256):

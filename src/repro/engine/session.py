@@ -1,4 +1,4 @@
-"""`EngineSession`: a memoizing, batch-capable front end to the engine.
+"""`EngineSession`: a memoizing front end to the engine.
 
 The façade in :mod:`repro.core.pdb` recomputes everything on every call —
 the right semantics for a library, the wrong ones for a server answering
@@ -46,17 +46,10 @@ Cached answers are returned verbatim (bit-identical probabilities, same
 derivation detail) with a fresh :class:`~repro.engine.stats.QueryStats`
 marking the cache hit; this also makes repeated approximate queries
 deterministic within a session, since the first estimate is reused.
-
-:meth:`EngineSession.query_batch` evaluates many queries through
-:mod:`concurrent.futures`, sharing the cache across workers and
-deduplicating in-flight work: when several workers race on the same
-answer key, one computes and the rest wait on its future. See
-:mod:`repro.engine.batch` for the executor strategies.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -71,13 +64,7 @@ from ..booleans.kernel import clear_kernel_memos
 from ..core.tid import TupleIndependentDatabase
 from ..logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..logic.terms import Var
-from ..sanitize import (
-    RANK_INFLIGHT,
-    RankedLock,
-    audit_kernel,
-    audited_dict,
-    sanitize_enabled,
-)
+from ..sanitize import audit_kernel, sanitize_enabled
 from .cache import LRUCache, lineage_fingerprint, query_fingerprint
 from .stats import QueryStats, SessionStats
 
@@ -93,8 +80,6 @@ class EngineSession:
     cache_size:
         Maximum number of memoized artifacts (answers, lineages, parses,
         circuits share one LRU budget).
-    max_workers:
-        Default worker count for :meth:`query_batch`.
     seed:
         When given, overrides the wrapped database's RNG seed so the
         approximate routes are reproducible.
@@ -105,7 +90,6 @@ class EngineSession:
         db: Union[ProbabilisticDatabase, TupleIndependentDatabase, None] = None,
         *,
         cache_size: int = 256,
-        max_workers: Optional[int] = None,
         seed: Optional[int] = None,
     ):
         if db is None:
@@ -121,11 +105,8 @@ class EngineSession:
             )
         if seed is not None:
             self.pdb.seed = seed
-        self.max_workers = max_workers
         self.cache = LRUCache(cache_size)
         self.stats = SessionStats()
-        self._inflight: dict[tuple, Future] = audited_dict("session.inflight")
-        self._inflight_lock = RankedLock(RANK_INFLIGHT, "session.inflight")
 
     # -- convenience passthroughs ---------------------------------------------
 
@@ -154,95 +135,20 @@ class EngineSession:
             key = ("answer", read_key, qfp, method.value)
             cached = self.cache.get(key)
         if cached is not None:
-            return self._serve_hit(cached, stats)
-        owner, answer = self._compute_once(
-            key, lambda: self._evaluate(parsed, method, read_key, qfp, stats)
-        )
-        if not owner:
-            # Another worker computed this key while we waited on its
-            # future: account for it as a (shared) hit.
-            return self._serve_hit(answer, stats)
-        self.stats.record(answer.stats)
-        return answer
-
-    def query_batch(
-        self,
-        queries: Sequence[Query],
-        method: Method = Method.AUTO,
-        *,
-        executor: str = "thread",
-        max_workers: Optional[int] = None,
-    ) -> list[QueryAnswer]:
-        """Evaluate many Boolean queries, in input order.
-
-        *executor* selects the strategy (see :mod:`repro.engine.batch`):
-        ``"thread"`` shares this session's cache across workers and
-        deduplicates in-flight work — the right choice for workloads with
-        repeats; ``"process"`` sidesteps the GIL for CPU-bound cold
-        workloads on multicore machines (answers are merged back into the
-        cache on return); ``"serial"`` is the in-line baseline.
-        """
-        from .batch import run_batch
-
-        return run_batch(
-            self,
-            list(queries),
-            method,
-            executor=executor,
-            max_workers=max_workers if max_workers is not None else self.max_workers,
-        )
-
-    def _serve_hit(self, cached: QueryAnswer, stats: QueryStats) -> QueryAnswer:
-        stats.route = cached.method.value
-        stats.reason = cached.stats.reason if cached.stats is not None else ""
-        stats.cache_hit = True
-        self.stats.record(stats)
-        return replace(cached, stats=stats)
-
-    def _evaluate(
-        self,
-        parsed: object,
-        method: Method,
-        read_key: str,
-        qfp: str,
-        stats: QueryStats,
-    ) -> QueryAnswer:
-        return self.pdb.probability(
+            stats.route = cached.method.value
+            stats.reason = cached.stats.reason if cached.stats is not None else ""
+            stats.cache_hit = True
+            self.stats.record(stats)
+            return replace(cached, stats=stats)
+        answer = self.pdb.probability(
             parsed,  # type: ignore[arg-type]
             method,
             stats=stats,
             lineage_factory=self._lineage_factory(read_key, qfp),
         )
-
-    def _compute_once(
-        self, key: tuple, compute: Callable[[], QueryAnswer]
-    ) -> tuple[bool, QueryAnswer]:
-        """Run *compute* for *key* unless a concurrent call already is.
-
-        Returns ``(owner, answer)``: the owner actually ran the
-        computation (and stored it in the cache); non-owners waited on the
-        owner's future.
-        """
-        with self._inflight_lock:
-            future = self._inflight.get(key)
-            if future is None:
-                future = self._inflight[key] = Future()
-                owner = True
-            else:
-                owner = False
-        if not owner:
-            return False, future.result()
-        try:
-            answer = compute()
-            self.cache.put(key, answer)
-            future.set_result(answer)
-            return True, answer
-        except BaseException as error:
-            future.set_exception(error)
-            raise
-        finally:
-            with self._inflight_lock:
-                self._inflight.pop(key, None)
+        self.cache.put(key, answer)
+        self.stats.record(answer.stats)
+        return answer
 
     # -- cache keys ------------------------------------------------------------
 

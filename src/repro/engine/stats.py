@@ -16,12 +16,13 @@ Routes only fill the stages they execute; a cached answer carries a fresh
 stats object with ``cache_hit=True`` and only a ``lookup`` stage.
 
 :class:`SessionStats` aggregates these per-query records across an
-:class:`~repro.engine.session.EngineSession`, including under concurrent
-``query_batch`` execution (all counters are updated under a lock). Each
-record is also published into the process-wide metrics registry
-(:mod:`repro.obs`) — ``engine_queries_total``, cache hit/miss counters and
-the ``engine_query_seconds`` latency histogram — so a server scraping
-``/metrics`` sees engine traffic without extra plumbing.
+:class:`~repro.engine.session.EngineSession`, including when threads-mode
+serving shares one session across worker threads (all counters are
+updated under a lock). Each record is also published into the
+process-wide metrics registry (:mod:`repro.obs`) — ``engine_queries_total``,
+cache hit/miss counters and the ``engine_query_seconds`` latency
+histogram — so a server scraping ``/metrics`` sees engine traffic without
+extra plumbing.
 
 This module imports only :mod:`repro.sanitize` and :mod:`repro.obs`
 (both standard-library-only) so that ``core/pdb.py`` can depend on it
@@ -151,12 +152,11 @@ class QueryStats:
 class SessionStats:
     """Aggregate counters for one :class:`~repro.engine.session.EngineSession`.
 
-    Thread-safe: ``record`` may be called concurrently from ``query_batch``
-    workers.
+    Thread-safe: ``record`` may be called concurrently from the worker
+    threads of threads-mode serving.
     """
 
     queries: int = 0
-    batches: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     routes: Dict[str, int] = field(default_factory=dict)
@@ -209,13 +209,6 @@ class SessionStats:
             "engine_query_seconds", "per-query instrumented wall time"
         ).observe(stats.total)
 
-    def record_batch(self) -> None:
-        with self._lock:
-            self.batches += 1
-        get_registry().counter(
-            "engine_batches_total", "query_batch invocations"
-        ).inc()
-
     @property
     def hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
@@ -236,7 +229,7 @@ class SessionStats:
                 f"{name}={value}" for name, value in sorted(self.counters.items())
             )
             lines = [
-                f"queries      : {self.queries} ({self.batches} batches)",
+                f"queries      : {self.queries}",
                 f"answer cache : {self.cache_hits} hits / "
                 f"{self.cache_misses} misses "
                 f"({self.hit_rate:.0%} hit rate)",

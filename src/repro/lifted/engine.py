@@ -78,24 +78,37 @@ class LiftedEngine:
             elif node.rule == "independent-and":
                 result = math.prod(value(child, binding) for child in node.children)
             elif node.rule == "independent-or":
-                result = 1.0 - math.prod(1.0 - value(c, binding) for c in node.children)
+                result = _independent_or([value(c, binding) for c in node.children])
             elif node.rule == "separator":
                 # per domain value: the child of the slot it equals, else the fresh one
                 equal = dict(zip((binding[s] for s in node.slots), node.children))
                 fresh = node.children[-1]
-                result = 1.0 - math.prod(
-                    1.0 - value(equal[a], binding)
+                result = _independent_or([
+                    value(equal[a], binding)
                     if a in equal
-                    else 1.0 - value(fresh, {**binding, node.bound: a})
+                    else value(fresh, {**binding, node.bound: a})
                     for a in domain
-                )
+                ])
             else:
                 terms = zip(node.coefficients, node.children)
-                result = sum(c * value(child, binding) for c, child in terms)
+                result = math.fsum(c * value(child, binding) for c, child in terms)
             memo[key] = result
             return result
 
         return value(derivation.root, dict(enumerate(derivation.constants)))
+
+
+def _independent_or(values: list[float]) -> float:
+    """``1 - ∏(1 - v)`` in log space.
+
+    The product form rounds ``1 - v`` to 1.0 for every v below 2⁻⁵³, so a
+    disjunction of many tiny probabilities would come out 0.0; summing
+    ``log1p(-v)`` keeps them. ``log1p(-1.0)`` raises, and any certain
+    disjunct makes the disjunction certain anyway.
+    """
+    if any(v >= 1.0 for v in values):
+        return 1.0
+    return -math.expm1(math.fsum(math.log1p(-v) for v in values))
 
 
 # -- sentence-level entry point ---------------------------------------------------

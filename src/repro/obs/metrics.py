@@ -1,7 +1,7 @@
 """Counters, gauges and log-linear latency histograms with one registry.
 
-The serving layer (:mod:`repro.server`), the engine session
-(:mod:`repro.engine.session`) and the batch executor all publish into a
+The serving layer (:mod:`repro.server`) and the engine session
+(:mod:`repro.engine.session`) both publish into a
 process-wide :class:`MetricsRegistry`; the server's ``/metrics`` endpoint
 and the ``prodb serve --stats`` periodic log line render it.
 

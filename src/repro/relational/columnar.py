@@ -67,8 +67,8 @@ class ValueInterner:
     Codes are assigned on first sight and never change, so two columns
     encoded at different times (even for different relations) agree on
     every shared value — which is what lets :func:`join` compare raw code
-    arrays. Thread-safe: scans from concurrent ``query_batch`` workers may
-    encode simultaneously.
+    arrays. Thread-safe: scans from the worker threads of threads-mode
+    serving may encode simultaneously.
     """
 
     def __init__(self) -> None:

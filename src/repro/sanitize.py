@@ -25,9 +25,8 @@ What is audited when enabled:
   exactly the key its structure dictates, and the table holds no aliases;
 * **lock ordering** — the engine's locks carry ranks
   (:data:`RANK_WORKER_POOL` < :data:`RANK_WORKER_PIPE` < :data:`RANK_SERVER`
-  < :data:`RANK_SCENARIO` < :data:`RANK_INFLIGHT` < :data:`RANK_CACHE`
-  < :data:`RANK_STATS` < :data:`RANK_INTERNER` < :data:`RANK_METRICS`) and a
-  :class:`RankedLock`
+  < :data:`RANK_SCENARIO` < :data:`RANK_CACHE` < :data:`RANK_STATS`
+  < :data:`RANK_INTERNER` < :data:`RANK_METRICS`) and a :class:`RankedLock`
   refuses acquisition out of rank order, turning a potential deadlock into
   an immediate :class:`LockOrderError`;
 * **lockset race detection** — shared containers created through
@@ -62,7 +61,6 @@ __all__ = [
     "OrderViolationError",
     "ProbabilityDomainError",
     "RANK_CACHE",
-    "RANK_INFLIGHT",
     "RANK_INTERNER",
     "RANK_METRICS",
     "RANK_SCENARIO",
@@ -296,10 +294,8 @@ RANK_SERVER = 5
 #: id-table and LRU bookkeeping, never across constraint compilation or
 #: a conditioned evaluation. Above the server ranks (the request path
 #: resolves scenarios while holding no server lock) and below the
-#: engine's in-flight/cache ranks, which the manager's LRU acquires.
+#: engine's cache rank, which the manager's LRU acquires.
 RANK_SCENARIO = 7
-#: Rank of :class:`repro.engine.session.EngineSession`'s in-flight lock.
-RANK_INFLIGHT = 10
 #: Rank of :class:`repro.engine.cache.LRUCache`'s lock.
 RANK_CACHE = 20
 #: Rank of :class:`repro.engine.stats.SessionStats`'s lock.

@@ -240,6 +240,13 @@ class MethodLadder:
             return None
         return replace(cached, cache_hit=True)
 
+    def _key(self, query: str, *rest: object) -> tuple:
+        """The cache key of a degraded answer. It leads with the session's
+        read key, so a write to a relation *query* does not read leaves the
+        entry addressable, as it does the exact answer."""
+        read_key = self.session._keyed(query)[1] if self.use_cache else None
+        return ("ladder", read_key, *rest)
+
     def _remember(self, key: tuple, answer: RungAnswer) -> None:
         if self.use_cache:
             self.session.cache.put(key, answer)
@@ -439,7 +446,7 @@ class MethodLadder:
         predicted = self.predictor.predict(qfp, "bounds")
         if remaining is not None and not self._fits(predicted, remaining):
             return None
-        cache_key = ("ladder", self.session.tid.fingerprint(), qfp, "bounds")
+        cache_key = self._key(query, qfp, "bounds")
         cached = self._cached(cache_key)
         if cached is not None:
             return cached
@@ -478,15 +485,7 @@ class MethodLadder:
     def _sampled(
         self, query: str, qfp: str, epsilon: float, delta: float
     ) -> RungAnswer:
-        cache_key = (
-            "ladder",
-            self.session.tid.fingerprint(),
-            qfp,
-            "sampled",
-            epsilon,
-            delta,
-            self.pdb.seed,
-        )
+        cache_key = self._key(query, qfp, "sampled", epsilon, delta, self.pdb.seed)
         cached = self._cached(cache_key)
         if cached is not None:
             return cached

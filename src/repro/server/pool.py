@@ -54,6 +54,7 @@ that one worker.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import signal
 import threading
 import time
@@ -95,6 +96,22 @@ _RING_REPLICAS = 64
 _MERGED_GAUGES = frozenset(
     {"engine_cache_entries", "scenario_circuits_cached", "scenarios_installed"}
 )
+
+
+def mp_context() -> multiprocessing.context.BaseContext:
+    """The start method the worker pool spawns its processes with.
+
+    Never ``fork``: by the time the pool spawns workers the parent may
+    already run an asyncio loop, thread pools and ranked locks, and
+    forking duplicates held locks and live threads into the child
+    mid-state. ``forkserver`` keeps child startup cheap (the server
+    process imports the package once, before any threads exist) and
+    ``spawn`` is the portable fallback.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "forkserver" if "forkserver" in methods else "spawn"
+    )
 
 
 # -- worker process ----------------------------------------------------------
@@ -322,8 +339,6 @@ class WorkerPool:
         """Publish the shards, spawn the workers, wait until all serve."""
         if self._context is not None:
             raise RuntimeError("worker pool already started")
-        from ..engine.batch import mp_context
-
         self._context = mp_context()
         try:
             self._shards = publish(self._tid)

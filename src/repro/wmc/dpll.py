@@ -50,7 +50,7 @@ class DPLLStatistics:
     general loop only. They are deltas of the hash-consing kernel's
     *thread-local* counters over the run: a run executes on one thread, so
     the deltas attribute interning and cofactor-memo traffic to this query
-    alone even while the engine's batch executor evaluates other queries
+    alone even while other serving threads evaluate other queries
     concurrently (the memo tables themselves stay shared — a hit counted
     here may have been seeded by another query, which is the point).
     ``kernel_unique_nodes`` is the process-wide unique-table size at the

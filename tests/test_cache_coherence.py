@@ -256,6 +256,7 @@ def test_concurrent_safe_plans_share_the_per_relation_scan_memo():
     # answer must equal the uncached engine's, and the memo must end up
     # holding each relation at its current version.
     import sys
+    from concurrent.futures import ThreadPoolExecutor
 
     from repro.plans.vectorized import _encoded_relation
     from repro.workloads.generators import full_tid
@@ -269,7 +270,8 @@ def test_concurrent_safe_plans_share_the_per_relation_scan_memo():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        answers = session.query_batch(queries, Method.SAFE_PLAN, executor="thread", max_workers=8)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            answers = list(pool.map(lambda q: session.query(q, Method.SAFE_PLAN), queries))
     finally:
         sys.setswitchinterval(interval)
     assert [a.probability for a in answers] == expected

@@ -1,4 +1,7 @@
-"""Concurrent batch execution: ordering, dedup, thread-safety, executors."""
+"""One session shared by many threads, as threads-mode serving shares it:
+ordering, error propagation and thread-safety of ``session.query``."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro import EngineSession, Method, ProbabilisticDatabase
 from repro.core.tid import TupleIndependentDatabase
-from repro.workloads.generators import full_tid
 
 QUERY_FAMILY = (
     "R(x)",
@@ -29,10 +31,16 @@ def _family_db() -> TupleIndependentDatabase:
     return db
 
 
+def _threaded(session, queries, method=Method.AUTO, workers=4):
+    """``session.query`` over *queries* on a thread pool, in input order."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda q: session.query(q, method), queries))
+
+
 def test_batch_preserves_input_order():
     session = EngineSession(_family_db(), seed=3)
     queries = list(QUERY_FAMILY) + list(reversed(QUERY_FAMILY))
-    answers = session.query_batch(queries)
+    answers = _threaded(session, queries)
     serial = [
         ProbabilisticDatabase(tid=_family_db(), seed=3).probability(q)
         for q in queries
@@ -41,49 +49,10 @@ def test_batch_preserves_input_order():
     assert [a.method for a in answers] == [a.method for a in serial]
 
 
-def test_batch_executors_agree():
-    queries = list(QUERY_FAMILY) * 2
-    results = {}
-    for executor in ("serial", "thread", "process"):
-        session = EngineSession(_family_db(), seed=3)
-        answers = session.query_batch(queries, executor=executor, max_workers=2)
-        results[executor] = [a.probability for a in answers]
-    assert results["serial"] == results["thread"] == results["process"]
-
-
-def test_inflight_dedup_computes_each_key_once():
-    session = EngineSession(full_tid(41, 4), seed=0)
-    answers = session.query_batch(
-        ["R(x), S(x,y), T(y)"] * 8, Method.DPLL, max_workers=8
-    )
-    assert len({a.probability for a in answers}) == 1
-    # one cold computation; the other seven were served as (shared) hits
-    assert session.stats.cache_misses == 1
-    assert session.stats.cache_hits == 7
-
-
 def test_batch_raises_on_bad_query():
     session = EngineSession(_family_db())
     with pytest.raises(Exception):
-        session.query_batch(["R(x), S(x,y)", "R(x,"])
-
-
-def test_batch_rejects_unknown_executor():
-    session = EngineSession(_family_db())
-    with pytest.raises(ValueError, match="unknown executor"):
-        session.query_batch(["R(x)"], executor="carrier-pigeon")
-
-
-def test_empty_batch():
-    session = EngineSession(_family_db())
-    assert session.query_batch([]) == []
-
-
-def test_process_batch_merges_into_cache():
-    session = EngineSession(_family_db(), seed=3)
-    session.query_batch(["R(x), S(x,y)"], executor="process", max_workers=1)
-    warm = session.query("R(x), S(x,y)")
-    assert warm.stats.cache_hit
+        _threaded(session, ["R(x), S(x,y)", "R(x,"])
 
 
 # -- hypothesis: thread-safety under generated workloads ----------------------
@@ -120,7 +89,7 @@ def test_threaded_batch_matches_sequential_reference(workload):
     session = EngineSession(
         TupleIndependentDatabase.from_facts(facts), seed=9, cache_size=64
     )
-    answers = session.query_batch(queries, executor="thread", max_workers=4)
+    answers = _threaded(session, queries, workers=4)
     reference = ProbabilisticDatabase(
         tid=TupleIndependentDatabase.from_facts(facts), seed=9
     )
@@ -138,26 +107,10 @@ def test_threaded_batch_is_internally_consistent(workload):
     facts, queries = workload
     session = EngineSession(TupleIndependentDatabase.from_facts(facts), seed=9)
     doubled = queries * 2
-    answers = session.query_batch(doubled, executor="thread", max_workers=8)
+    answers = _threaded(session, doubled, workers=8)
     by_query: dict[str, set] = {}
     for query, answer in zip(doubled, answers):
         by_query.setdefault(query, set()).add(answer.probability)
     for query, values in by_query.items():
         assert len(values) == 1, f"divergent answers for {query}: {values}"
 
-
-def test_mp_context_never_uses_fork():
-    """Process batches must not fork: the engine holds locks and threads.
-
-    forkserver is preferred (cheap re-spawn after the first), spawn is the
-    portable fallback; plain fork would duplicate a possibly-locked
-    interpreter and is never acceptable.
-    """
-    import multiprocessing
-
-    from repro.engine.batch import mp_context
-
-    context = mp_context()
-    assert context.get_start_method() in ("forkserver", "spawn")
-    if "forkserver" in multiprocessing.get_all_start_methods():
-        assert context.get_start_method() == "forkserver"

@@ -234,17 +234,8 @@ def test_cli_batch(csv_dir, capsys):
     assert "hit rate" in out
 
 
-def test_cli_batch_serial_executor(csv_dir, capsys):
-    code = main(
-        [
-            "batch",
-            str(csv_dir / "R.csv"),
-            "-q",
-            "R(x)",
-            "--executor",
-            "serial",
-        ]
-    )
+def test_cli_batch_single_query(csv_dir, capsys):
+    code = main(["batch", str(csv_dir / "R.csv"), "-q", "R(x)"])
     assert code == 0
     assert "P(R(x))" in capsys.readouterr().out
 

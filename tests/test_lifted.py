@@ -1,6 +1,7 @@
 """Unit tests for repro.lifted: the rule engine and the safety decider."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -308,3 +309,27 @@ def test_derive_decides_lifted_and_agrees_with_grounded_routes(case):
             auto = pdb.probability(query)
             assert auto.method is Method.DPLL
             assert close(auto.probability, brute)
+
+
+# -- ⊕ of many tiny probabilities ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "query, relations, count, p",
+    [
+        # 1 - ∏(1 - p) rounds every 1 - 1e-17 to 1.0 and answers 0.0
+        ("R(x)", ("R",), 1000, 1e-17),
+        # a union AUTO routes to LIFTED and reports as exact
+        ("R(x) | T(y)", ("R", "T"), 30, 1e-12),
+    ],
+)
+@pytest.mark.parametrize("method", [Method.LIFTED, Method.AUTO])
+def test_independent_or_keeps_tiny_probabilities(query, relations, count, p, method):
+    pdb = ProbabilisticDatabase()
+    for name in relations:
+        for i in range(count):
+            pdb.add_fact(name, (f"{name}{i}",), p)
+    expected = -math.expm1(len(relations) * count * math.log1p(-p))
+    answer = pdb.probability(query, method)
+    assert answer.exact
+    assert abs(answer.probability - expected) <= 1e-12 * expected

@@ -16,7 +16,7 @@ from repro.core.tid import TupleIndependentDatabase
 from repro.engine.session import EngineSession
 from repro.obs import MetricsRegistry
 from repro.server import ServerClient, ServerConfig, ServerThread, http_get
-from repro.server.pool import _HashRing
+from repro.server.pool import _HashRing, mp_context
 from repro.workloads.generators import figure1_database
 
 QUERIES = (
@@ -233,6 +233,21 @@ def test_hash_ring_is_deterministic_and_sticky():
             assert ring.route(key) == owner
         else:
             assert ring.route(key) != 2
+
+
+def test_mp_context_never_uses_fork():
+    """Worker processes must not fork: the engine holds locks and threads.
+
+    forkserver is preferred (cheap re-spawn after the first), spawn is the
+    portable fallback; plain fork would duplicate a possibly-locked
+    interpreter and is never acceptable.
+    """
+    import multiprocessing
+
+    context = mp_context()
+    assert context.get_start_method() in ("forkserver", "spawn")
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        assert context.get_start_method() == "forkserver"
 
 
 # -- health + metrics ---------------------------------------------------------

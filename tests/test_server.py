@@ -150,6 +150,23 @@ def test_ladder_predictor_learns_from_overruns():
     assert first.probability is not None and second.probability is not None
 
 
+@pytest.mark.parametrize("rung, deadline_s", [("bounds", 30.0), ("sampled", 1e-7)])
+def test_ladder_degraded_answers_keyed_on_the_relations_read(rung, deadline_s):
+    session = EngineSession(small_tid(), seed=11)
+    session.pdb.exact_lineage_limit = 0
+    ladder = MethodLadder(session, default_epsilon=0.3, default_delta=0.1)
+    query = "R(x), S(x,y), T(y)"
+    first = ladder.evaluate(query, deadline_s=deadline_s)
+    assert first.rung == rung and not first.cache_hit
+    session.add_fact("Audit", ("a7",), 1.0)  # a relation the query does not read
+    again = ladder.evaluate(query, deadline_s=deadline_s)
+    assert again.rung == rung and again.cache_hit
+    assert again.probability == first.probability
+    session.add_fact("S", ("a7", "a7"), 0.5)
+    after = ladder.evaluate(query, deadline_s=deadline_s)
+    assert after.rung == rung and not after.cache_hit
+
+
 # -- seeded reproducibility (satellite) ---------------------------------------
 
 

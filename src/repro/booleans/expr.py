@@ -385,7 +385,7 @@ def evaluate(expr: BExpr, assignment: Mapping[int, bool]) -> bool:
     exponentially often. A per-call memo keyed by node id makes this a
     single pass over the distinct nodes — which matters to callers that
     evaluate the same large constraint circuit once per sampled world
-    (:func:`repro.condition.core.conditioned_karp_luby`).
+    (:func:`repro.wmc.karp_luby.karp_luby` under a constraint Γ).
     """
     memo: dict[int, bool] = {}
 

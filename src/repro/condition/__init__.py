@@ -20,7 +20,6 @@ from .core import (
     InconsistentConstraints,
     WorldCandidate,
     condition_database,
-    conditioned_karp_luby,
 )
 from .session import (
     ScenarioManager,
@@ -40,6 +39,5 @@ __all__ = [
     "UnknownScenarioError",
     "WorldCandidate",
     "condition_database",
-    "conditioned_karp_luby",
     "scenario_id_of",
 ]

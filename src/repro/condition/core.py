@@ -50,10 +50,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
-from ..booleans.expr import B_FALSE, B_TRUE, BAnd, BExpr, BVar, bnot, evaluate
-from ..booleans.forms import Clause, literal_sign, literal_var, to_dnf
+from ..booleans.expr import B_FALSE, B_TRUE, BAnd, BExpr, BVar, bnot
+from ..booleans.forms import to_dnf
 from ..booleans.ops import condition as restrict
 from ..core.pdb import ProbabilisticDatabase, Query
 from ..core.tid import TupleIndependentDatabase
@@ -61,20 +61,14 @@ from ..engine.cache import digest
 from ..kc.circuits import Circuit
 from ..kc.differentiate import VariableReport, differentiate
 from ..kc.mpe import top_k_models
-from ..lineage.build import (
-    Lineage,
-    VariablePool,
-    lineage_of_cq,
-    lineage_of_sentence,
-    lineage_of_ucq,
-)
-from ..logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
+from ..lineage.build import VariablePool, lineage_of
+from ..logic.cq import ConjunctiveQuery
 from ..logic.formulas import Atom
 from ..logic.semantics import Fact
 from ..logic.terms import Const
 from ..sanitize import RANK_SCENARIO, RankedLock, check_probability
 from ..wmc.dpll import DPLLCounter, DPLLResult, compile_decision_dnnf
-from ..wmc.karp_luby import KarpLubyEstimate, clause_probability, karp_luby_samples
+from ..wmc.karp_luby import karp_luby
 
 __all__ = [
     "ConditionedAnswer",
@@ -84,7 +78,6 @@ __all__ = [
     "InconsistentConstraints",
     "WorldCandidate",
     "condition_database",
-    "conditioned_karp_luby",
 ]
 
 #: Constraint kinds, in the canonical order specs sort into.
@@ -92,10 +85,6 @@ _KINDS = ("assert", "deny", "require", "forbid")
 
 #: Spec prefixes per kind (the wire/CLI syntax).
 _PREFIX = {"assert": "+", "deny": "-", "require": "", "forbid": "!"}
-
-#: Hard ceiling on Γ-rejection sample counts: the 1/P(Γ) inflation must
-#: not turn a degraded rung into an unbounded computation.
-_MAX_CONDITIONED_SAMPLES = 200_000
 
 
 class InconsistentConstraints(ValueError):
@@ -220,17 +209,6 @@ class WorldCandidate:
     world: Dict[Fact, bool]
     probability: float
     posterior: float
-
-
-def _lineage_with_pool(
-    parsed: object, tid: TupleIndependentDatabase, pool: VariablePool
-) -> Lineage:
-    """Ground a parsed query over *pool* so indices align with Γ's."""
-    if isinstance(parsed, ConjunctiveQuery):
-        return lineage_of_cq(parsed, tid, pool)
-    if isinstance(parsed, UnionOfConjunctiveQueries):
-        return lineage_of_ucq(parsed, tid, pool)
-    return lineage_of_sentence(parsed, tid, pool=pool)  # type: ignore[arg-type]
 
 
 def _parse_fact(pdb: ProbabilisticDatabase, text: str) -> Fact:
@@ -358,7 +336,7 @@ class ConditionedScenario:
             literal = pool.literal(fact, probability)
             return literal if constraint.kind == "assert" else bnot(literal)
         parsed = pdb.parse_query(constraint.text)
-        expr = _lineage_with_pool(parsed, tid, pool).expr
+        expr = lineage_of(parsed, tid, pool).expr
         return expr if constraint.kind == "require" else bnot(expr)
 
     # -- counting --------------------------------------------------------------
@@ -423,7 +401,7 @@ class ConditionedScenario:
 
     def _ground_locked(self, query: Query) -> BExpr:
         parsed = self.pdb.parse_query(query)
-        expr = _lineage_with_pool(parsed, self.pdb.tid, self.pool).expr
+        expr = lineage_of(parsed, self.pdb.tid, self.pool).expr
         if self._forced:
             expr = restrict(expr, self._forced)
         return expr
@@ -500,15 +478,14 @@ class ConditionedScenario:
             q_expr = self._ground_locked(query)
             gamma_expr = self.gamma_expr
             probabilities = self._probability_map()
-        clauses = to_dnf(q_expr)
-        estimate = conditioned_karp_luby(
-            clauses,
-            gamma_expr,
+        estimate = karp_luby(
+            to_dnf(q_expr),
             probabilities,
-            gamma_probability=self.gamma_probability,
             epsilon=epsilon,
             delta=delta,
             rng=rng,
+            constraint=gamma_expr,
+            constraint_probability=self.gamma_probability,
         )
         probability = min(estimate.estimate / self.gamma_probability, 1.0)
         check_probability(probability, context="conditioned sampled posterior")
@@ -728,78 +705,3 @@ def condition_database(
 ) -> ConditionedScenario:
     """Convenience alias for :meth:`ConditionedScenario.compile`."""
     return ConditionedScenario.compile(db, constraints)
-
-
-def conditioned_karp_luby(
-    clauses: Sequence[Clause],
-    gamma_expr: BExpr,
-    probabilities: Mapping[int, float],
-    *,
-    gamma_probability: float,
-    epsilon: float = 0.1,
-    delta: float = 0.05,
-    rng: Optional[random.Random] = None,
-    samples: Optional[int] = None,
-) -> KarpLubyEstimate:
-    """Karp–Luby estimate of ``P(Q ∧ Γ)`` with Γ-violating samples rejected.
-
-    The standard union-space sampler for ``P(⋁ clauses)`` counts a trial
-    iff the chosen clause is the first satisfied one; multiplying that
-    indicator by ``1[world ⊨ Γ]`` (unsampled Γ-variables drawn from the
-    prior) keeps the estimator unbiased for the joint. The trial count is
-    the unconditioned Karp–Luby budget inflated by ``1 / P(Γ)`` — the
-    acceptance-rate correction — capped at a fixed ceiling, so the
-    relative-ε guarantee carries over whenever the correlation of Q and Γ
-    is non-adversarial (Γ itself is counted exactly by the caller).
-    """
-    rng = rng if rng is not None else random.Random(0)
-    live = [c for c in clauses if clause_probability(c, probabilities) > 0.0]
-    if not live:
-        return KarpLubyEstimate(0.0, 0, epsilon, delta)
-    weights = [clause_probability(c, probabilities) for c in live]
-    total_weight = sum(weights)
-    cumulative: List[float] = []
-    acc = 0.0
-    for weight in weights:
-        acc += weight
-        cumulative.append(acc)
-    if samples is None:
-        base = karp_luby_samples(len(live), epsilon, delta)
-        inflation = 1.0 / max(gamma_probability, 1e-6)
-        samples = min(int(base * inflation) + 1, _MAX_CONDITIONED_SAMPLES)
-    fixed: List[Dict[int, bool]] = [
-        {literal_var(lit): literal_sign(lit) for lit in clause} for clause in live
-    ]
-    clause_vars = {literal_var(lit) for clause in live for lit in clause}
-    all_vars = sorted(clause_vars | set(gamma_expr.variables()))
-    hits = 0
-    for _ in range(samples):
-        r = rng.random() * total_weight
-        index = _bisect(cumulative, r)
-        chosen = fixed[index]
-        assignment: Dict[int, bool] = {}
-        for var in all_vars:
-            if var in chosen:
-                assignment[var] = chosen[var]
-            else:
-                assignment[var] = rng.random() < probabilities[var]
-        first = True
-        for j in range(index):
-            if all(assignment[v] == val for v, val in fixed[j].items()):
-                first = False
-                break
-        if first and evaluate(gamma_expr, assignment):
-            hits += 1
-    estimate = (hits / samples) * total_weight if samples else 0.0
-    return KarpLubyEstimate(min(estimate, 1.0), samples, epsilon, delta)
-
-
-def _bisect(cumulative: Sequence[float], value: float) -> int:
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cumulative[mid] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

@@ -13,8 +13,10 @@ the serving ladder), then falls through to grounded inference:
    cached per query shape, lifts it; otherwise it skips to step 3;
 3. **dpll** — grounded inference: lineage + exact DPLL model counting with
    caching and components (Sec. 7), when the lineage is small enough;
-4. **karp-luby** — the DNF FPRAS, when the lineage is a positive DNF;
-5. **monte-carlo** — naive sampling with an (ε, δ) additive guarantee.
+4. **karp-luby** — beyond that size, the DNF FPRAS (relative ε);
+5. **monte-carlo** — naive sampling (additive ε), when the DNF is too large
+   to materialize. Steps 4–5 are one sampled step, which the serving
+   ladder's ``sampled`` rung takes too.
 
 Each answer records which route fired and why, carries the rule trace, plan
 profile or approximation certificate, and a :class:`~repro.engine.stats.QueryStats`
@@ -46,13 +48,7 @@ from ..lifted.engine import (
 )
 from ..lifted.errors import UnsupportedQueryError
 from ..lifted.safety import decide_safety
-from ..lineage.build import (
-    Lineage,
-    answer_lineages,
-    lineage_of_cq,
-    lineage_of_sentence,
-    lineage_of_ucq,
-)
+from ..lineage.build import Lineage, answer_lineages, lineage_of
 from ..logic.cq import (
     ConjunctiveQuery,
     UnionOfConjunctiveQueries,
@@ -68,7 +64,7 @@ from ..plans.vectorized import execute_boolean_columnar
 from ..sanitize import check_probability
 from ..wmc.dpll import DPLLCounter
 from ..wmc.karp_luby import karp_luby
-from ..wmc.sampling import monte_carlo_wmc
+from ..wmc.sampling import SampledEstimate, monte_carlo_wmc
 from .tid import TupleIndependentDatabase
 
 Query = Union[str, Formula, ConjunctiveQuery, UnionOfConjunctiveQueries]
@@ -230,14 +226,11 @@ class ProbabilisticDatabase:
             return self._safe_plan(parsed, stats=stats)
         if method is Method.DPLL:
             return self._dpll(parsed, stats=stats, lineage_factory=lineage_factory)
-        if method is Method.KARP_LUBY:
-            return self._karp_luby(
-                parsed, stats=stats, lineage_factory=lineage_factory
-            )
-        if method is Method.MONTE_CARLO:
-            return self._monte_carlo(
-                parsed, stats=stats, lineage_factory=lineage_factory
-            )
+        if method in (Method.KARP_LUBY, Method.MONTE_CARLO):
+            lineage = self._get_lineage(parsed, None, lineage_factory, stats)
+            return self._sampled(
+                lineage, self.mc_epsilon, self.mc_delta, stats, only=method
+            )[0]
         if method is Method.BRUTE_FORCE:
             return self._brute(parsed, stats=stats)
         raise ValueError(f"unknown method {method}")
@@ -287,10 +280,7 @@ class ProbabilisticDatabase:
         if lineage.variable_count <= self.exact_lineage_limit:
             answer = self._dpll(parsed, lineage, stats=stats)
         else:
-            try:
-                answer = self._karp_luby(parsed, lineage, stats=stats)
-            except FormSizeExceeded:
-                answer = self._monte_carlo(parsed, lineage, stats=stats)
+            answer = self._sampled(lineage, self.mc_epsilon, self.mc_delta, stats)[0]
         answer.detail += f" (lifted failed: {stats.reason})"
         return answer
 
@@ -324,13 +314,6 @@ class ProbabilisticDatabase:
             probability, Method.SAFE_PLAN, exact=True, detail=f"safe plan: {plan}"
         )
 
-    def _lineage(self, parsed) -> Lineage:
-        if isinstance(parsed, ConjunctiveQuery):
-            return lineage_of_cq(parsed, self.tid)
-        if isinstance(parsed, UnionOfConjunctiveQueries):
-            return lineage_of_ucq(parsed, self.tid)
-        return lineage_of_sentence(parsed, self.tid)
-
     def _get_lineage(
         self,
         parsed,
@@ -341,7 +324,7 @@ class ProbabilisticDatabase:
         if lineage is not None:
             return lineage
         with stats.stage("lineage"):
-            return factory(parsed) if factory is not None else self._lineage(parsed)
+            return factory(parsed) if factory is not None else lineage_of(parsed, self.tid)
 
     def _dpll(
         self,
@@ -383,63 +366,49 @@ class ProbabilisticDatabase:
             ),
         )
 
-    def _karp_luby(
+    def _sampled(
         self,
-        parsed,
-        lineage: Optional[Lineage] = None,
-        *,
-        stats: Optional[QueryStats] = None,
-        lineage_factory: Optional[LineageFactory] = None,
-    ) -> QueryAnswer:
-        stats = stats if stats is not None else QueryStats()
-        lineage = self._get_lineage(parsed, lineage, lineage_factory, stats)
-        with stats.stage("compile"):
-            clauses = to_dnf(lineage.expr)
-        with stats.stage("count"):
-            estimate = karp_luby(
-                clauses,
-                lineage.probabilities(),
-                epsilon=self.mc_epsilon,
-                delta=self.mc_delta,
-                rng=self.rng(),
-            )
-        return QueryAnswer(
-            estimate.estimate,
-            Method.KARP_LUBY,
-            exact=False,
-            detail=(
-                f"Karp–Luby FPRAS: {estimate.samples} samples, relative "
-                f"error ≤ {estimate.epsilon} w.p. ≥ {1 - estimate.delta}"
-            ),
-        )
-
-    def _monte_carlo(
-        self,
-        parsed,
-        lineage: Optional[Lineage] = None,
-        *,
-        stats: Optional[QueryStats] = None,
-        lineage_factory: Optional[LineageFactory] = None,
-    ) -> QueryAnswer:
-        stats = stats if stats is not None else QueryStats()
-        lineage = self._get_lineage(parsed, lineage, lineage_factory, stats)
+        lineage: Lineage,
+        epsilon: float,
+        delta: float,
+        stats: QueryStats,
+        only: Optional[Method] = None,
+    ) -> tuple[QueryAnswer, SampledEstimate]:
+        """The one sampled step behind every approximate answer (AUTO's
+        grounded tail, the direct routes, the serving ladder's sampled
+        rung): seeded Karp–Luby over the DNF lineage (relative ε w.p.
+        ≥ 1 − δ), else, when the DNF is too large to materialize, seeded
+        naive Monte Carlo (additive ε). *only* pins one estimator:
+        ``KARP_LUBY`` lets :class:`FormSizeExceeded` propagate,
+        ``MONTE_CARLO`` skips the DNF."""
+        probabilities = lineage.probabilities()
+        if only is not Method.MONTE_CARLO:
+            try:
+                with stats.stage("compile"):
+                    clauses = to_dnf(lineage.expr)
+            except FormSizeExceeded:
+                if only is Method.KARP_LUBY:
+                    raise
+            else:
+                with stats.stage("count"):
+                    estimate = karp_luby(
+                        clauses, probabilities, epsilon=epsilon, delta=delta, rng=self.rng()
+                    )
+                detail = (
+                    f"Karp–Luby FPRAS: {estimate.samples} samples, relative "
+                    f"error ≤ {epsilon} w.p. ≥ {1 - delta}"
+                )
+                answer = QueryAnswer(estimate.estimate, Method.KARP_LUBY, False, detail)
+                return answer, estimate
         with stats.stage("count"):
             estimate = monte_carlo_wmc(
-                lineage.expr,
-                lineage.probabilities(),
-                epsilon=self.mc_epsilon,
-                delta=self.mc_delta,
-                rng=self.rng(),
+                lineage.expr, probabilities, epsilon=epsilon, delta=delta, rng=self.rng()
             )
-        return QueryAnswer(
-            estimate.estimate,
-            Method.MONTE_CARLO,
-            exact=False,
-            detail=(
-                f"naive Monte Carlo: {estimate.samples} samples, additive "
-                f"error ≤ {estimate.epsilon} w.p. ≥ {1 - estimate.delta}"
-            ),
+        detail = (
+            f"naive Monte Carlo: {estimate.samples} samples, additive "
+            f"error ≤ {epsilon} w.p. ≥ {1 - delta}"
         )
+        return QueryAnswer(estimate.estimate, Method.MONTE_CARLO, False, detail), estimate
 
     def _brute(self, parsed, *, stats: Optional[QueryStats] = None) -> QueryAnswer:
         stats = stats if stats is not None else QueryStats()
@@ -504,7 +473,7 @@ class ProbabilisticDatabase:
 
         parsed = self.parse_query(query)
         self.check_arities(parsed)
-        lineage = self._lineage(parsed)
+        lineage = lineage_of(parsed, self.tid)
         probabilities = lineage.probabilities()
         from ..wmc.dpll import compile_decision_dnnf
 
@@ -527,7 +496,7 @@ class ProbabilisticDatabase:
 
         parsed = self.parse_query(query)
         self.check_arities(parsed)
-        lineage = self._lineage(parsed)
+        lineage = lineage_of(parsed, self.tid)
         probabilities = lineage.probabilities()
         compiled = compile_decision_dnnf(lineage.expr, probabilities)
         explanation = most_probable_model(compiled.circuit, probabilities)

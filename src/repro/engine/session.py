@@ -62,6 +62,7 @@ from ..core.pdb import (
 )
 from ..booleans.kernel import clear_kernel_memos
 from ..core.tid import TupleIndependentDatabase
+from ..lineage.build import lineage_of
 from ..logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..logic.terms import Var
 from ..sanitize import audit_kernel, sanitize_enabled
@@ -190,7 +191,7 @@ class EngineSession:
             key = ("lineage", read_key, qfp)
             lineage = self.cache.get(key)
             if lineage is None:
-                lineage = self.pdb._lineage(parsed)
+                lineage = lineage_of(parsed, self.pdb.tid)
                 self.cache.put(key, lineage)
             return lineage
 

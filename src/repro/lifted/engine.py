@@ -22,6 +22,7 @@ from ..core.tid import TupleIndependentDatabase
 from ..logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..logic.formulas import And, Atom, Formula, Not, Or
 from ..logic.transform import is_unate, prenex, to_nnf, unate_to_monotone
+from ..wmc.dpll import independent_or
 from .derive import Node, derive
 from .errors import UnsupportedQueryError
 
@@ -78,12 +79,12 @@ class LiftedEngine:
             elif node.rule == "independent-and":
                 result = math.prod(value(child, binding) for child in node.children)
             elif node.rule == "independent-or":
-                result = _independent_or([value(c, binding) for c in node.children])
+                result = independent_or([value(c, binding) for c in node.children])
             elif node.rule == "separator":
                 # per domain value: the child of the slot it equals, else the fresh one
                 equal = dict(zip((binding[s] for s in node.slots), node.children))
                 fresh = node.children[-1]
-                result = _independent_or([
+                result = independent_or([
                     value(equal[a], binding)
                     if a in equal
                     else value(fresh, {**binding, node.bound: a})
@@ -96,19 +97,6 @@ class LiftedEngine:
             return result
 
         return value(derivation.root, dict(enumerate(derivation.constants)))
-
-
-def _independent_or(values: list[float]) -> float:
-    """``1 - ∏(1 - v)`` in log space.
-
-    The product form rounds ``1 - v`` to 1.0 for every v below 2⁻⁵³, so a
-    disjunction of many tiny probabilities would come out 0.0; summing
-    ``log1p(-v)`` keeps them. ``log1p(-1.0)`` raises, and any certain
-    disjunct makes the disjunction certain anyway.
-    """
-    if any(v >= 1.0 for v in values):
-        return 1.0
-    return -math.expm1(math.fsum(math.log1p(-v) for v in values))
 
 
 # -- sentence-level entry point ---------------------------------------------------

@@ -4,6 +4,7 @@ from .build import (
     Lineage,
     VariablePool,
     answer_lineages,
+    lineage_of,
     lineage_of_cq,
     lineage_of_sentence,
     lineage_of_ucq,
@@ -13,6 +14,7 @@ __all__ = [
     "Lineage",
     "VariablePool",
     "answer_lineages",
+    "lineage_of",
     "lineage_of_cq",
     "lineage_of_sentence",
     "lineage_of_ucq",

@@ -224,6 +224,21 @@ def lineage_of_ucq(
     return Lineage(BOr.of(parts), pool)
 
 
+def lineage_of(
+    parsed: Formula | ConjunctiveQuery | UnionOfConjunctiveQueries,
+    db: TupleIndependentDatabase,
+    pool: Optional[VariablePool] = None,
+) -> Lineage:
+    """The lineage of any parsed Boolean query: joins for a CQ or UCQ,
+    grounding over the active domain for an FO sentence. Pass *pool* to
+    ground several queries over one variable numbering."""
+    if isinstance(parsed, ConjunctiveQuery):
+        return lineage_of_cq(parsed, db, pool)
+    if isinstance(parsed, UnionOfConjunctiveQueries):
+        return lineage_of_ucq(parsed, db, pool)
+    return lineage_of_sentence(parsed, db, pool=pool)
+
+
 def answer_lineages(
     query: ConjunctiveQuery,
     head: tuple[Var, ...],

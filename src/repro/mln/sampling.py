@@ -52,8 +52,12 @@ def rejection_sample_conditional(
     samples: int = 10_000,
     rng: Optional[random.Random] = None,
 ) -> ConditionalEstimate:
-    """Estimate p(Q | Γ) by rejection sampling worlds from the TID."""
-    rng = rng if rng is not None else random.Random()
+    """Estimate p(Q | Γ) by rejection sampling worlds from the TID.
+
+    The default RNG is seeded so runs are reproducible; pass ``rng`` for an
+    independent stream.
+    """
+    rng = rng if rng is not None else random.Random(0)
     domain = db.domain()
     accepted = 0
     hits = 0
@@ -88,8 +92,11 @@ def importance_sample_mln(
     Worlds are drawn uniformly over Tup(DOM) (each tuple present w.p. 1/2 —
     the MLN's base measure), weighted by the product of satisfied factor
     weights. Reports the effective sample size Σw²-based diagnostic.
+
+    The default RNG is seeded so runs are reproducible; pass ``rng`` for an
+    independent stream.
     """
-    rng = rng if rng is not None else random.Random()
+    rng = rng if rng is not None else random.Random(0)
     tuples = mln.possible_tuples()
     numerator = 0.0
     denominator = 0.0

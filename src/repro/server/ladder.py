@@ -14,17 +14,20 @@ rung whose *predicted* cost fits the request's remaining deadline:
    an upper bound on D and a lower bound on the rescaled D₁. Guarantee:
    ``lower ≤ P ≤ upper``; the reported point estimate is the midpoint, so
    its absolute error is at most ``(upper − lower) / 2``.
-3. ``sampled`` — seeded Karp–Luby over the DNF lineage with the request's
-   error budget (relative ε w.p. ≥ 1 − δ); if the DNF is too large to
-   materialize, seeded naive Monte Carlo (additive ε). This rung always
+3. ``sampled`` — the façade's one sampled step, the same one AUTO's
+   grounded tail takes, with the request's error budget: seeded Karp–Luby
+   over the DNF lineage (relative ε w.p. ≥ 1 − δ); if the DNF is too large
+   to materialize, seeded naive Monte Carlo (additive ε). This rung always
    answers — it is the floor of the ladder.
 
 **Conditioned evaluation.** When a request names an installed scenario
 (:mod:`repro.condition`), the ladder walks a two-rung conditioned
 variant instead: ``exact`` counts ``P(Q ∧ Γ) / P(Γ)`` on the scenario's
 compiled circuit (gated on the grounded lineage size, like grounded
-DPLL), else ``sampled`` runs Karp–Luby with Γ-rejection
-(:func:`repro.condition.core.conditioned_karp_luby`). The dissociation
+DPLL), else ``sampled`` runs the same Karp–Luby loop under Γ
+(:meth:`repro.condition.core.ConditionedScenario.sample_posterior`, which
+calls :func:`repro.wmc.karp_luby.karp_luby` with the constraint and its
+exact mass). The dissociation
 ``bounds`` rung does not apply — the sandwich bounds ``P(Q)``, not the
 conditional. The predictor keys conditioned costs per
 ``(query, scenario)``, so per-scenario latencies are learned separately.
@@ -49,17 +52,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..booleans.forms import FormSizeExceeded, to_dnf
+from ..booleans.forms import FormSizeExceeded
 from ..condition.core import ConditionedAnswer, ConditionedScenario
 from ..core.pdb import Method, ProbabilisticDatabase, QueryAnswer
-from ..engine.cache import query_fingerprint
+from ..engine.cache import LRUCache, query_fingerprint
 from ..engine.session import EngineSession
+from ..engine.stats import QueryStats
+from ..lineage.build import lineage_of
 from ..logic.cq import ConjunctiveQuery
 from ..sanitize import RANK_SERVER, RankedLock, check_bounds
-from ..wmc.karp_luby import karp_luby
-from ..wmc.sampling import monte_carlo_wmc
 
 __all__ = ["CostPredictor", "MethodLadder", "RungAnswer"]
 
@@ -123,28 +126,28 @@ def _sampling_guarantee(relative: bool, epsilon: float, delta: float, estimator:
 class CostPredictor:
     """EWMA of observed per-``(query, rung)`` latencies.
 
-    The lock (rank :data:`~repro.sanitize.RANK_SERVER`) is held only for
-    dictionary operations, never across an evaluation.
+    The EWMAs live in an :class:`~repro.engine.cache.LRUCache` of
+    *maxsize* entries, so a long-running server remembers the costs of
+    the queries it saw most recently instead of every query it ever saw.
+    The lock (rank :data:`~repro.sanitize.RANK_SERVER`) makes each
+    read-modify-write of an EWMA atomic and is held only for those cache
+    operations, never across an evaluation.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, maxsize: int = 256) -> None:
         self._lock = RankedLock(RANK_SERVER, "server.predictor")
-        self._seconds: Dict[Tuple[str, str], float] = {}
+        self._seconds = LRUCache(maxsize)
 
     def observe(self, qfp: str, rung: str, seconds: float) -> None:
         key = (qfp, rung)
         with self._lock:
             previous = self._seconds.get(key)
-            if previous is None:
-                self._seconds[key] = seconds
-            else:
-                self._seconds[key] = (
-                    _EWMA_ALPHA * seconds + (1.0 - _EWMA_ALPHA) * previous
-                )
+            if previous is not None:
+                seconds = _EWMA_ALPHA * seconds + (1.0 - _EWMA_ALPHA) * previous
+            self._seconds.put(key, seconds)
 
     def predict(self, qfp: str, rung: str) -> Optional[float]:
-        with self._lock:
-            return self._seconds.get((qfp, rung))
+        return self._seconds.get((qfp, rung))
 
 
 class MethodLadder:
@@ -176,7 +179,7 @@ class MethodLadder:
         self.use_cache = use_cache
         self.default_epsilon = default_epsilon
         self.default_delta = default_delta
-        self.predictor = CostPredictor()
+        self.predictor = CostPredictor(session.cache.maxsize)
 
     @property
     def pdb(self) -> ProbabilisticDatabase:
@@ -403,7 +406,7 @@ class MethodLadder:
         # Grounded DPLL: exponential worst case; gate on the lineage size
         # (predicted) and on observed history (actual overruns learned).
         lineage = (
-            self.session.lineage(query) if self.use_cache else self.pdb._lineage(parsed)
+            self.session.lineage(query) if self.use_cache else lineage_of(parsed, self.pdb.tid)
         )
         variable_count = int(getattr(lineage, "variable_count", 0))
         if variable_count > self.pdb.exact_lineage_limit:
@@ -489,38 +492,29 @@ class MethodLadder:
         cached = self._cached(cache_key)
         if cached is not None:
             return cached
-        lineage = self.session.lineage(query) if self.use_cache else None
-        if lineage is None:
-            parsed = self.pdb.parse_query(query)
-            lineage = self.pdb._lineage(parsed)
+        lineage = (
+            self.session.lineage(query)
+            if self.use_cache
+            else lineage_of(self.pdb.parse_query(query), self.pdb.tid)
+        )
         attempt = time.perf_counter()
-        expr, probabilities = lineage.expr, lineage.probabilities()  # type: ignore[attr-defined]
-        try:
-            clauses = to_dnf(expr)
-        except FormSizeExceeded:
-            mc = monte_carlo_wmc(
-                expr, probabilities, epsilon=epsilon, delta=delta, rng=self.pdb.rng()
-            )
-            method, probability, samples = Method.MONTE_CARLO, mc.estimate, mc.samples
-            estimator = "naive Monte Carlo"
-            detail = f"{samples} seeded samples (DNF too large)"
-        else:
-            kl = karp_luby(
-                clauses, probabilities, epsilon=epsilon, delta=delta, rng=self.pdb.rng()
-            )
-            method, probability, samples = Method.KARP_LUBY, kl.estimate, kl.samples
-            estimator = "Karp–Luby FPRAS"
-            detail = f"{samples} seeded union-space samples"
+        sampled, estimate = self.pdb._sampled(lineage, epsilon, delta, QueryStats())
+        kl = sampled.method is Method.KARP_LUBY
+        estimator = "Karp–Luby FPRAS" if kl else "naive Monte Carlo"
         answer = RungAnswer(
             rung="sampled",
-            probability=probability,
-            guarantee=_sampling_guarantee(method is Method.KARP_LUBY, epsilon, delta, estimator),
+            probability=sampled.probability,
+            guarantee=_sampling_guarantee(kl, epsilon, delta, estimator),
             exact=False,
-            method=method.value,
-            detail=detail,
+            method=sampled.method.value,
+            detail=(
+                f"{estimate.samples} seeded union-space samples"
+                if kl
+                else f"{estimate.samples} seeded samples (DNF too large)"
+            ),
             epsilon=epsilon,
             delta=delta,
-            samples=samples,
+            samples=estimate.samples,
         )
         self.predictor.observe(qfp, "sampled", time.perf_counter() - attempt)
         self._remember(cache_key, answer)

@@ -17,13 +17,11 @@ from .dpll import (
     dpll_probability,
 )
 from .sampling import (
-    MonteCarloEstimate,
+    SampledEstimate,
     hoeffding_samples,
-    monte_carlo_event,
     monte_carlo_wmc,
 )
 from .karp_luby import (
-    KarpLubyEstimate,
     clause_probability,
     karp_luby,
     karp_luby_samples,
@@ -42,11 +40,9 @@ __all__ = [
     "compile_decision_dnnf",
     "compile_fbdd",
     "dpll_probability",
-    "MonteCarloEstimate",
+    "SampledEstimate",
     "hoeffding_samples",
-    "monte_carlo_event",
     "monte_carlo_wmc",
-    "KarpLubyEstimate",
     "clause_probability",
     "karp_luby",
     "karp_luby_samples",

@@ -6,7 +6,8 @@ Implements the primitives of Sec. 7:
   ``p(F) = p(F[X:=0])·(1-p(X)) + p(F[X:=1])·p(X)``;
 * rule (12), independent components ``p(F₁ ∧ F₂) = p(F₁)·p(F₂)`` when the
   conjuncts share no variables, and its dual, the independent-or
-  ``p(F₁ ∨ F₂) = 1 − (1−p(F₁))·(1−p(F₂))``;
+  ``p(F₁ ∨ F₂) = 1 − (1−p(F₁))·(1−p(F₂))``, summed in log space
+  (:func:`independent_or`) so that many tiny disjuncts do not round to 0;
 * a cache of previously computed probabilities.
 
 Following Huang and Darwiche, the *trace* of the search is materialized as a
@@ -29,6 +30,7 @@ general loop over hash-consed formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -81,6 +83,23 @@ class DPLLResult:
     def trace_size(self) -> int:
         """Node count of the decision-DNNF trace (0 when not recorded)."""
         return self.circuit.size() if self.circuit is not None else 0
+
+
+def independent_or(values: Sequence[float]) -> float:
+    """``1 - ∏(1 - v)``, the probability of a disjunction of independent
+    events, in log space.
+
+    The product form rounds ``1 - v`` to 1.0 for every v below 2⁻⁵³, so a
+    disjunction of many tiny probabilities would come out 0.0; summing
+    ``log1p(-v)`` keeps them. ``log1p(-1.0)`` raises, and any certain
+    disjunct makes the disjunction certain anyway.
+    """
+    logs = []
+    for v in values:
+        if v >= 1.0:
+            return 1.0
+        logs.append(math.log1p(-v))
+    return -math.expm1(math.fsum(logs))
 
 
 def positive_dnf_clauses(expr: BExpr) -> Optional[list[list[int]]]:
@@ -236,10 +255,8 @@ class DPLLCounter:
             result: tuple[float, int]
             if or_split and not connected and len(groups := _or_components(clauses)) > 1:
                 statistics.or_splits += 1
-                complement = 1.0
-                for group in groups:
-                    complement *= 1.0 - count(group, connected=True)[0]
-                result = (1.0 - complement, TRUE_LEAF)
+                parts = [count(group, connected=True)[0] for group in groups]
+                result = (independent_or(parts), TRUE_LEAF)
             else:
                 group = clauses
                 if not (or_split or ordered):  # finish the narrowest group first
@@ -310,10 +327,7 @@ class DPLLCounter:
                 result = (probability, node_id)
             elif len(factors) > 1:
                 stats.or_splits += 1
-                complement = 1.0
-                for factor in factors:
-                    complement *= 1.0 - count(factor)[0]
-                result = (1.0 - complement, TRUE_LEAF)
+                result = (independent_or([count(factor)[0] for factor in factors]), TRUE_LEAF)
             else:
                 var = (min(formula.variables(), key=rank) if ordered
                        else most_frequent_variable(formula))

@@ -9,27 +9,26 @@ probability 1 − δ after ``⌈ 3·m·ln(2/δ) / ε² ⌉`` samples, where *m* 
 number of clauses.
 
 This gives the FPRAS the paper's conclusion alludes to for the "other" (hard)
-queries, applicable whenever the lineage is available in DNF.
+queries, applicable whenever the lineage is available in DNF. The same loop
+serves conditioned answers (Koch–Olteanu): under a constraint Γ it estimates
+``P(F ∧ Γ)`` by counting a Γ-violating sample as a miss.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
+from ..booleans.expr import BExpr, evaluate
 from ..booleans.forms import Clause, literal_sign, literal_var
+from .sampling import SampledEstimate
 
-
-@dataclass(frozen=True)
-class KarpLubyEstimate:
-    """Estimate of P(F) with the number of trials used."""
-
-    estimate: float
-    samples: int
-    epsilon: float
-    delta: float
+#: Hard ceiling on constrained trial counts: the 1/P(Γ) inflation must not
+#: turn a degraded answer into an unbounded computation.
+_MAX_CONSTRAINED_SAMPLES = 200_000
 
 
 def clause_probability(clause: Clause, probabilities: Mapping[int, float]) -> float:
@@ -55,67 +54,78 @@ def karp_luby(
     delta: float = 0.05,
     rng: Optional[random.Random] = None,
     samples: Optional[int] = None,
-) -> KarpLubyEstimate:
+    *,
+    constraint: Optional[BExpr] = None,
+    constraint_probability: float = 1.0,
+) -> SampledEstimate:
     """Karp–Luby estimator for P(⋁ clauses) under independent variables.
 
     Clauses use the literal encoding of :mod:`repro.booleans.forms`. Clauses
     with probability 0 are dropped; an empty clause list yields estimate 0.
 
+    With a *constraint* Γ (whose exact mass is *constraint_probability*)
+    the estimate is of ``P(⋁ clauses ∧ Γ)``: Γ's variables outside the
+    chosen clause are drawn from the prior too, and a sample whose world
+    violates Γ is a miss, which keeps the estimator unbiased for the joint.
+    The default trial count is then the Karp–Luby budget inflated by
+    ``1 / P(Γ)`` (the acceptance rate), capped at 200 000, so the
+    relative-ε guarantee carries over whenever Q and Γ are not
+    adversarially correlated.
+
     The default RNG is seeded so runs are reproducible; pass ``rng`` for an
     independent stream.
     """
     rng = rng if rng is not None else random.Random(0)
-    live = [c for c in clauses if clause_probability(c, probabilities) > 0.0]
-    if not live:
-        return KarpLubyEstimate(0.0, 0, epsilon, delta)
-
-    weights = [clause_probability(c, probabilities) for c in live]
-    total_weight = sum(weights)
-    cumulative: list[float] = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cumulative.append(acc)
-
-    n = samples if samples is not None else karp_luby_samples(len(live), epsilon, delta)
-    # Pre-index: variables fixed by each clause.
-    fixed: list[dict[int, bool]] = [
-        {literal_var(lit): literal_sign(lit) for lit in clause} for clause in live
+    weighted = [
+        (clause, weight)
+        for clause in clauses
+        if (weight := clause_probability(clause, probabilities)) > 0.0
     ]
-    all_vars = sorted({literal_var(lit) for c in live for lit in c})
+    if not weighted:
+        return SampledEstimate(0.0, 0, epsilon, delta)
+
+    weights = [weight for _, weight in weighted]
+    total_weight = sum(weights)
+    cumulative = list(accumulate(weights))
+    last = len(cumulative) - 1
+
+    n = samples
+    if n is None:
+        n = karp_luby_samples(len(weighted), epsilon, delta)
+        if constraint is not None:
+            inflation = 1.0 / max(constraint_probability, 1e-6)
+            n = min(int(n * inflation) + 1, _MAX_CONSTRAINED_SAMPLES)
+    # Pre-index: variables fixed by each clause, as a map and as pairs.
+    fixed: list[dict[int, bool]] = [
+        {literal_var(lit): literal_sign(lit) for lit in clause} for clause, _ in weighted
+    ]
+    pairs = [tuple(clause.items()) for clause in fixed]
+    variables = {var for clause in fixed for var in clause}
+    if constraint is not None:
+        variables |= set(constraint.variables())
+    priors = [(var, probabilities[var]) for var in sorted(variables)]
+    draw = rng.random
 
     hits = 0
     for _ in range(n):
         # 1. pick a clause proportionally to its weight
-        r = rng.random() * total_weight
-        index = _bisect(cumulative, r)
+        index = min(bisect_left(cumulative, draw() * total_weight), last)
         chosen = fixed[index]
         # 2. sample a world conditioned on the chosen clause being true
-        assignment = {}
-        for var in all_vars:
-            if var in chosen:
-                assignment[var] = chosen[var]
-            else:
-                assignment[var] = rng.random() < probabilities[var]
+        assignment = {
+            var: chosen[var] if var in chosen else draw() < p for var, p in priors
+        }
         # 3. success iff the chosen clause is the *first* satisfied clause
-        first = True
+        # (and, under a constraint, the world satisfies Γ)
         for j in range(index):
-            if all(assignment[v] == val for v, val in fixed[j].items()):
-                first = False
+            for var, value in pairs[j]:
+                if assignment[var] != value:
+                    break
+            else:  # clause j is satisfied too, and it comes first
                 break
-        if first:
-            hits += 1
+        else:
+            if constraint is None or evaluate(constraint, assignment):
+                hits += 1
 
     estimate = (hits / n) * total_weight if n else 0.0
-    return KarpLubyEstimate(min(estimate, 1.0), n, epsilon, delta)
-
-
-def _bisect(cumulative: Sequence[float], value: float) -> int:
-    lo, hi = 0, len(cumulative) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cumulative[mid] < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return SampledEstimate(min(estimate, 1.0), n, epsilon, delta)

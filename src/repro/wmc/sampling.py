@@ -1,7 +1,8 @@
-"""Naive Monte Carlo estimation of P(F) and of query probabilities.
+"""Naive Monte Carlo estimation of P(F), and the record every sampler returns.
 
-The simplest fallback route for #P-hard queries: sample worlds from the TID,
-check the event, average. Comes with the standard additive Hoeffding bound:
+The simplest fallback route for #P-hard queries: sample assignments of the
+lineage's variables, check the formula, average. Comes with the standard
+additive Hoeffding bound:
 ``n ≥ ln(2/δ) / (2ε²)`` samples give |estimate − p| ≤ ε with probability
 1 − δ.
 """
@@ -11,14 +12,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..booleans.expr import BExpr, evaluate
 
 
 @dataclass(frozen=True)
-class MonteCarloEstimate:
-    """An estimate with its sample count and additive-error certificate."""
+class SampledEstimate:
+    """An estimate with its sample count and the (ε, δ) it was drawn for.
+
+    The error is additive for :func:`monte_carlo_wmc` and relative for
+    :func:`~repro.wmc.karp_luby.karp_luby`.
+    """
 
     estimate: float
     samples: int
@@ -40,7 +45,7 @@ def monte_carlo_wmc(
     delta: float = 0.05,
     rng: Optional[random.Random] = None,
     samples: Optional[int] = None,
-) -> MonteCarloEstimate:
+) -> SampledEstimate:
     """Estimate P(expr) by sampling assignments variable-by-variable.
 
     The default RNG is seeded so runs are reproducible; pass ``rng`` for an
@@ -54,26 +59,4 @@ def monte_carlo_wmc(
         assignment = {v: rng.random() < probabilities[v] for v in variables}
         if evaluate(expr, assignment):
             hits += 1
-    return MonteCarloEstimate(hits / n if n else 0.0, n, epsilon, delta)
-
-
-def monte_carlo_event(
-    sample_world: Callable[[random.Random], object],
-    event: Callable[[object], bool],
-    epsilon: float = 0.05,
-    delta: float = 0.05,
-    rng: Optional[random.Random] = None,
-    samples: Optional[int] = None,
-) -> MonteCarloEstimate:
-    """Estimate P(event) for an arbitrary world sampler (e.g. a TID).
-
-    The default RNG is seeded so runs are reproducible; pass ``rng`` for an
-    independent stream.
-    """
-    rng = rng if rng is not None else random.Random(0)
-    n = samples if samples is not None else hoeffding_samples(epsilon, delta)
-    hits = 0
-    for _ in range(n):
-        if event(sample_world(rng)):
-            hits += 1
-    return MonteCarloEstimate(hits / n if n else 0.0, n, epsilon, delta)
+    return SampledEstimate(hits / n if n else 0.0, n, epsilon, delta)

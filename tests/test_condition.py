@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -289,6 +290,26 @@ def _pdb() -> ProbabilisticDatabase:
     pdb.add_fact("S", (2, 3), 0.6)
     pdb.add_fact("T", (3,), 0.8)
     return pdb
+
+
+@pytest.mark.parametrize(
+    "seed, probability, samples",
+    [
+        (1, 0.8993937644341798, 2165),
+        (2, 0.8982751154734409, 2165),
+        (3, 0.8747834872979213, 2165),
+    ],
+)
+def test_sample_posterior_stream_is_pinned(seed, probability, samples):
+    # Values captured from the dedicated conditioned sampler this loop
+    # replaced: the Γ-rejection draws and the 1/P(Γ) budget must not move.
+    scenario = ConditionedScenario.compile(_pdb(), ["+R(1)", "S(x,y), T(y)"])
+    answer = scenario.sample_posterior(
+        "R(x), S(x,y)", epsilon=0.2, delta=0.05, rng=random.Random(seed)
+    )
+    assert (answer.probability, answer.samples) == (probability, samples)  # prodb-lint: exact
+    exact = scenario.posterior("R(x), S(x,y)").probability
+    assert abs(answer.probability - exact) <= 0.2 * exact
 
 
 def test_manager_installs_are_idempotent_and_content_addressed():

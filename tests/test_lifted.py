@@ -323,7 +323,7 @@ def test_derive_decides_lifted_and_agrees_with_grounded_routes(case):
         ("R(x) | T(y)", ("R", "T"), 30, 1e-12),
     ],
 )
-@pytest.mark.parametrize("method", [Method.LIFTED, Method.AUTO])
+@pytest.mark.parametrize("method", [Method.LIFTED, Method.AUTO, Method.DPLL])
 def test_independent_or_keeps_tiny_probabilities(query, relations, count, p, method):
     pdb = ProbabilisticDatabase()
     for name in relations:

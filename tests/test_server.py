@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pdb import Method, ProbabilisticDatabase
+from repro.engine.cache import query_fingerprint
 from repro.engine.session import EngineSession
 from repro.obs import MetricsRegistry
 from repro.server import (
@@ -148,6 +149,33 @@ def test_ladder_predictor_learns_from_overruns():
     second = ladder.evaluate("R(x), S(x,y), T(y)", deadline_s=1e-7)
     assert second.rung in ("bounds", "sampled")
     assert first.probability is not None and second.probability is not None
+
+
+@pytest.mark.parametrize("use_cache", (True, False))
+@pytest.mark.parametrize("query", ("R(x), S(x,y), T(y)", "R(x), S(x,y) | T(u), S(u,v)"))
+def test_ladder_sampled_rung_is_the_library_karp_luby(query, use_cache):
+    session = EngineSession(small_tid(), seed=11)
+    session.pdb.exact_lineage_limit = 0
+    ladder = MethodLadder(session, use_cache=use_cache, default_epsilon=0.3, default_delta=0.1)
+    served = ladder.evaluate(query, deadline_s=1e-9)
+    assert served.rung == "sampled" and served.method == "karp-luby"
+    library = ProbabilisticDatabase(
+        tid=small_tid(), seed=11, mc_epsilon=0.3, mc_delta=0.1
+    ).probability(query, Method.KARP_LUBY)
+    assert served.probability == library.probability  # prodb-lint: exact
+    assert f"{served.samples} samples" in library.detail
+
+
+def test_ladder_predictor_is_bounded_by_the_cache_size():
+    session = EngineSession(small_tid(), seed=11, cache_size=8)
+    ladder = MethodLadder(session)
+    queries = [f"R(x), S(x,'a{i}')" for i in range(session.cache.maxsize + 10)]
+    for query in queries:
+        ladder.evaluate(query)
+    assert len(ladder.predictor._seconds) <= session.cache.maxsize
+    newest = query_fingerprint(queries[-1])
+    assert ladder.predictor.predict(newest, "safe-plan") is not None
+    assert ladder.predictor.predict(query_fingerprint(queries[0]), "safe-plan") is None
 
 
 @pytest.mark.parametrize("rung, deadline_s", [("bounds", 30.0), ("sampled", 1e-7)])

@@ -201,3 +201,33 @@ def test_karp_luby_small_probability_relative_error():
 
 def test_karp_luby_empty():
     assert karp_luby([], P).estimate == 0.0  # prodb-lint: exact
+
+
+def test_karp_luby_stream_is_pinned():
+    # Captured before the conditioned sampler was folded into karp_luby: a
+    # moved draw changes the estimate.
+    clauses = to_dnf(bor(band(x, y), band(y, z), band(x, bnot(z))))
+    estimate = karp_luby(clauses, P, epsilon=0.2, delta=0.1, rng=random.Random(7))
+    assert (estimate.estimate, estimate.samples) == (0.3455407407407407, 675)  # prodb-lint: exact
+
+
+def test_karp_luby_under_true_constraint_matches_plain():
+    clauses = to_dnf(bor(band(x, y), band(y, z), band(x, bnot(z))))
+    constrained = karp_luby(
+        clauses, P, epsilon=0.2, delta=0.1, rng=random.Random(7),
+        constraint=B_TRUE, constraint_probability=1.0,
+    )
+    # The 1/P(Γ) budget rounds up by one trial; at equal trial counts the
+    # two runs consume the same draws and agree bit for bit.
+    assert constrained.samples == karp_luby_samples(len(clauses), 0.2, 0.1) + 1
+    plain = karp_luby(
+        clauses, P, epsilon=0.2, delta=0.1, rng=random.Random(7),
+        samples=constrained.samples,
+    )
+    assert constrained == plain
+    for samples in (1, 500):
+        assert karp_luby(
+            clauses, P, rng=random.Random(3), samples=samples,
+            constraint=B_TRUE, constraint_probability=1.0,
+        ) == karp_luby(clauses, P, rng=random.Random(3), samples=samples)
+

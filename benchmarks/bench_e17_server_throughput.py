@@ -144,13 +144,9 @@ def degraded_agreement(domain_size=3):
         registry=MetricsRegistry(),
     ) as server:
         with ServerClient("127.0.0.1", server.port, timeout_s=120.0) as client:
-            # Bounds rung: make exact structurally unaffordable.
-            limit = session.pdb.exact_lineage_limit
-            session.pdb.exact_lineage_limit = 0
-            try:
-                bounded = client.query(hard, deadline_ms=10_000)
-            finally:
-                session.pdb.exact_lineage_limit = limit
+            # Bounds rung: at ε = 4 the DPLL call budget, ⌈3·n·ln(2/δ)/ε²⌉ = 11
+            # for the 15-variable lineage, is below the ≈100 calls it needs.
+            bounded = client.query(hard, deadline_ms=10_000, epsilon=4.0)
             if bounded.get("rung") == "bounds":
                 lower, upper = bounded["bounds"]["lower"], bounded["bounds"]["upper"]
                 half_width = (upper - lower) / 2

@@ -425,11 +425,6 @@ class ConditionedScenario:
         """The constraint-relevant facts :meth:`top_k_worlds` assigns."""
         return [self.pool.fact_of_var[var] for var in self._gamma_vars]
 
-    def grounded_size(self, query: Query) -> int:
-        """Variables of Q's lineage under this scenario (exact-rung gate)."""
-        with self._lock:
-            return len(self._ground_locked(query).variables())
-
     def posterior(self, query: Query) -> ConditionedAnswer:
         """``P(Q | Γ)`` exactly, via conjunction counting + renormalization.
 

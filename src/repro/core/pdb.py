@@ -12,8 +12,12 @@ the serving ladder), then falls through to grounded inference:
    rule engine of Sec. 5 (polynomial, exact) when the data-free derivation,
    cached per query shape, lifts it; otherwise it skips to step 3;
 3. **dpll** — grounded inference: lineage + exact DPLL model counting with
-   caching and components (Sec. 7), when the lineage is small enough;
-4. **karp-luby** — beyond that size, the DNF FPRAS (relative ε);
+   caching and components (Sec. 7), for at most ⌈3·n·ln(2/δ)/ε²⌉ calls on
+   n ≥ 1 lineage variables at (``mc_epsilon``, ``mc_delta``): a call touches
+   at most the m DNF clauses and step 4 draws ⌈3·m·ln(2/δ)/ε²⌉ samples of n
+   variables, so a count given up costs no more than the sampled answer;
+4. **karp-luby** — past that budget, the DNF FPRAS (relative ε); ``detail``
+   and ``stats.reason`` name the budget;
 5. **monte-carlo** — naive sampling (additive ε), when the DNF is too large
    to materialize. Steps 4–5 are one sampled step, which the serving
    ladder's ``sampled`` rung takes too.
@@ -62,8 +66,8 @@ from ..plans.plan import project_boolean
 from ..plans.safe_plan import UnsafePlanError, safe_plan
 from ..plans.vectorized import execute_boolean_columnar
 from ..sanitize import check_probability
-from ..wmc.dpll import DPLLCounter
-from ..wmc.karp_luby import karp_luby
+from ..wmc.dpll import DPLLBudgetExceeded, DPLLCounter
+from ..wmc.karp_luby import karp_luby, karp_luby_samples
 from ..wmc.sampling import SampledEstimate, monte_carlo_wmc
 from .tid import TupleIndependentDatabase
 
@@ -103,7 +107,6 @@ class ProbabilisticDatabase:
     """A TID plus every inference engine of the library."""
 
     tid: TupleIndependentDatabase = field(default_factory=TupleIndependentDatabase)
-    exact_lineage_limit: int = 40
     mc_epsilon: float = 0.02
     mc_delta: float = 0.05
     seed: Optional[int] = None
@@ -163,6 +166,7 @@ class ProbabilisticDatabase:
         *,
         stats: Optional[QueryStats] = None,
         lineage_factory: Optional[LineageFactory] = None,
+        budget: Optional[tuple[float, float]] = None,
     ) -> QueryAnswer:
         """Evaluate a Boolean query; see the module docstring for routing.
 
@@ -170,7 +174,8 @@ class ProbabilisticDatabase:
         record (the engine session passes one that already holds cache
         lookup time); otherwise a fresh one is created. *lineage_factory*
         overrides how routes obtain the grounded lineage — the session uses
-        it to serve lineages from its content-addressed cache.
+        it to serve lineages from its content-addressed cache. *budget*
+        (ε, δ) caps a DPLL count like AUTO's, raising :class:`DPLLBudgetExceeded`.
         """
         stats = stats if stats is not None else QueryStats()
         with stats.stage("parse"):
@@ -182,7 +187,7 @@ class ProbabilisticDatabase:
             )
         self.check_arities(parsed)
         answer = self._dispatch(
-            parsed, method, stats=stats, lineage_factory=lineage_factory
+            parsed, method, stats=stats, lineage_factory=lineage_factory, budget=budget
         )
         # Sanitizer (no-op unless REPRO_SANITIZE=1): every route must
         # return a probability.
@@ -216,6 +221,7 @@ class ProbabilisticDatabase:
         *,
         stats: Optional[QueryStats] = None,
         lineage_factory: Optional[LineageFactory] = None,
+        budget: Optional[tuple[float, float]] = None,
     ) -> QueryAnswer:
         stats = stats if stats is not None else QueryStats()
         if method is Method.AUTO:
@@ -225,7 +231,7 @@ class ProbabilisticDatabase:
         if method is Method.SAFE_PLAN:
             return self._safe_plan(parsed, stats=stats)
         if method is Method.DPLL:
-            return self._dpll(parsed, stats=stats, lineage_factory=lineage_factory)
+            return self._dpll(parsed, stats=stats, lineage_factory=lineage_factory, budget=budget)
         if method in (Method.KARP_LUBY, Method.MONTE_CARLO):
             lineage = self._get_lineage(parsed, None, lineage_factory, stats)
             return self._sampled(
@@ -277,10 +283,12 @@ class ProbabilisticDatabase:
         if route is not None:
             return self._dispatch(parsed, route, stats=stats)
         lineage = self._get_lineage(parsed, None, lineage_factory, stats)
-        if lineage.variable_count <= self.exact_lineage_limit:
-            answer = self._dpll(parsed, lineage, stats=stats)
-        else:
-            answer = self._sampled(lineage, self.mc_epsilon, self.mc_delta, stats)[0]
+        sampler = (self.mc_epsilon, self.mc_delta)
+        try:
+            answer = self._dpll(parsed, lineage, stats=stats, budget=sampler)
+        except DPLLBudgetExceeded as stopped:
+            stats.reason += f"; {stopped} → sampled"
+            answer = self._sampled(lineage, *sampler, stats)[0]
         answer.detail += f" (lifted failed: {stats.reason})"
         return answer
 
@@ -333,12 +341,18 @@ class ProbabilisticDatabase:
         *,
         stats: Optional[QueryStats] = None,
         lineage_factory: Optional[LineageFactory] = None,
+        budget: Optional[tuple[float, float]] = None,
     ) -> QueryAnswer:
         stats = stats if stats is not None else QueryStats()
         lineage = self._get_lineage(parsed, lineage, lineage_factory, stats)
-        counter = DPLLCounter()
-        with stats.stage("count"):
-            result = counter.run(lineage.expr, lineage.probabilities())
+        n = lineage.variable_count
+        limit = karp_luby_samples(max(n, 1), *budget) if budget else float("inf")
+        try:
+            with stats.stage("count"):
+                result = DPLLCounter().run(lineage.expr, lineage.probabilities(), limit)
+        except DPLLBudgetExceeded as stopped:
+            where = f"({n} variables, ε={budget[0]}, δ={budget[1]})"  # type: ignore[index]
+            raise DPLLBudgetExceeded(f"DPLL stopped after {stopped} calls > budget {limit} {where}")
         counted = result.statistics
         stats.counters.update(
             kernel_unique_nodes=counted.kernel_unique_nodes,
@@ -359,7 +373,7 @@ class ProbabilisticDatabase:
             Method.DPLL,
             exact=True,
             detail=(
-                f"grounded: {lineage.variable_count} lineage variables, "
+                f"grounded: {n} lineage variables, "
                 f"{counted.path} path: {counted.shannon_expansions} Shannon "
                 f"expansions, {counted.or_splits} or-splits, "
                 f"{counted.cache_hits} cache hits, {kernel}"

@@ -14,6 +14,7 @@ parsed query            ``("parse", query_fp)`` → ``(parsed, read set)``
 grounded lineage        ``("lineage", read_key, query_fp)``
 compiled circuit        ``("circuit", lineage_fp)``
 Boolean answer          ``("answer", read_key, query_fp, method)``
+stopped DPLL count      ``("answer", read_key, query_fp, method, (ε, δ))``
 per-answer marginals    ``("answers", read_key, query_fp·head)``
 ======================  =====================================================
 
@@ -66,6 +67,7 @@ from ..lineage.build import lineage_of
 from ..logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
 from ..logic.terms import Var
 from ..sanitize import audit_kernel, sanitize_enabled
+from ..wmc.dpll import DPLLBudgetExceeded
 from .cache import LRUCache, lineage_fingerprint, query_fingerprint
 from .stats import QueryStats, SessionStats
 
@@ -124,11 +126,15 @@ class EngineSession:
         self,
         query: Query,
         method: Method = Method.AUTO,
+        *,
+        budget: Optional[tuple[float, float]] = None,
     ) -> QueryAnswer:
         """Evaluate a Boolean query, serving repeats from the cache.
 
         Cache hits return the memoized answer (numerically identical to
         the cold evaluation) with a fresh stats record flagging the hit.
+        A DPLL count stopped by *budget* (see ``ProbabilisticDatabase.probability``)
+        is remembered, so a repeat under the same budget and data re-raises.
         """
         stats = QueryStats()
         with stats.stage("lookup"):
@@ -141,12 +147,16 @@ class EngineSession:
             stats.cache_hit = True
             self.stats.record(stats)
             return replace(cached, stats=stats)
-        answer = self.pdb.probability(
-            parsed,  # type: ignore[arg-type]
-            method,
-            stats=stats,
-            lineage_factory=self._lineage_factory(read_key, qfp),
-        )
+        if budget is not None and (stopped := self.cache.get((*key, budget))) is not None:
+            raise DPLLBudgetExceeded(stopped)
+        try:
+            answer = self.pdb.probability(
+                parsed, method, stats=stats,  # type: ignore[arg-type]
+                lineage_factory=self._lineage_factory(read_key, qfp), budget=budget,
+            )
+        except DPLLBudgetExceeded as error:
+            self.cache.put((*key, budget), str(error))
+            raise
         self.cache.put(key, answer)
         self.stats.record(answer.stats)
         return answer
@@ -225,14 +235,7 @@ class EngineSession:
         return out
 
     def lineage(self, query: Query) -> object:
-        """The grounded lineage of *query*, served from the session cache.
-
-        Used by layers that need to size up a query before choosing a
-        route — e.g. the server's :class:`~repro.server.ladder.MethodLadder`
-        predicts exact-inference cost from ``lineage.variable_count``
-        without paying for grounding twice (the same cache entry feeds the
-        subsequent evaluation).
-        """
+        """The grounded lineage of *query*, from the cache entry the routes read."""
         parsed, read_key, qfp = self._keyed(query)
         return self._lineage_factory(read_key, qfp)(parsed)
 

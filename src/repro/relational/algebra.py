@@ -21,8 +21,9 @@ from .relation import Relation
 
 
 def oplus(u: float, v: float) -> float:
-    """The independent-or aggregate of Sec. 6: ``1 - (1-u)(1-v)``."""
-    return 1.0 - (1.0 - u) * (1.0 - v)
+    """The independent-or aggregate of Sec. 6, ``1 - (1-u)(1-v)``, as
+    ``u + v - u·v``: the product form rounds ``1 - u`` to 1.0 for u < 2⁻⁵³."""
+    return u + v - u * v
 
 
 def select(relation: Relation, predicate: Callable[[dict], bool]) -> Relation:

@@ -7,8 +7,10 @@ rung whose *predicted* cost fits the request's remaining deadline:
 
 1. ``exact`` — the polynomial route the query's structure admits
    (``ProbabilisticDatabase.structural_route``: safe plan or lifted rules),
-   else grounded DPLL when the lineage is small enough. Guarantee: the
-   exact probability.
+   else grounded DPLL under AUTO's call budget at the request's (ε, δ); a
+   count past it is given up, named in the degraded answer's ``detail``
+   and remembered, so a repeat goes straight to the cached degraded
+   answer. Guarantee: the exact probability.
 2. ``bounds`` — the dissociation sandwich of Theorem 6.1
    (:mod:`repro.plans.bounds`): every minimal dissociation's safe plan is
    an upper bound on D and a lower bound on the rescaled D₁. Guarantee:
@@ -23,8 +25,9 @@ rung whose *predicted* cost fits the request's remaining deadline:
 **Conditioned evaluation.** When a request names an installed scenario
 (:mod:`repro.condition`), the ladder walks a two-rung conditioned
 variant instead: ``exact`` counts ``P(Q ∧ Γ) / P(Γ)`` on the scenario's
-compiled circuit (gated on the grounded lineage size, like grounded
-DPLL), else ``sampled`` runs the same Karp–Luby loop under Γ
+compiled circuit whenever its predicted cost fits (with no call budget:
+the first request also pays Γ's one-time compile), else ``sampled`` runs
+the same Karp–Luby loop under Γ
 (:meth:`repro.condition.core.ConditionedScenario.sample_posterior`, which
 calls :func:`repro.wmc.karp_luby.karp_luby` with the constraint and its
 exact mass). The dissociation
@@ -33,9 +36,9 @@ conditional. The predictor keys conditioned costs per
 ``(query, scenario)``, so per-scenario latencies are learned separately.
 
 **Predicted vs actual overrun.** Rung costs are predicted from an EWMA of
-observed latencies per ``(query, rung)`` (:class:`CostPredictor`), seeded
-by structural heuristics (liftability, lineage variable count vs the
-exact limit). Python cannot preempt a running exact computation, so an
+observed latencies per ``(query, rung)`` (:class:`CostPredictor`); a query
+never seen is predicted to fit, grounded DPLL being capped by its call
+budget instead. Python cannot preempt a running exact computation, so an
 *actual* overrun — a rung that finishes after its deadline — still returns
 its (correct, strictly better) answer, flagged ``deadline_exceeded``; the
 observed cost feeds the predictor, so the next identical request degrades
@@ -63,6 +66,7 @@ from ..engine.stats import QueryStats
 from ..lineage.build import lineage_of
 from ..logic.cq import ConjunctiveQuery
 from ..sanitize import RANK_SERVER, RankedLock, check_bounds
+from ..wmc.dpll import DPLLBudgetExceeded
 
 __all__ = ["CostPredictor", "MethodLadder", "RungAnswer"]
 
@@ -218,14 +222,15 @@ class MethodLadder:
             return self._finish(answer, start, deadline_s)
         qfp = query_fingerprint(query)
 
-        exact = self._try_exact(query, qfp, start, deadline_s)
+        try:
+            exact, stopped = self._try_exact(query, qfp, start, deadline_s, (eps, dlt)), ""
+        except DPLLBudgetExceeded as error:
+            exact, stopped = None, f" ({error})"
         if exact is not None:
             return self._finish(exact, start, deadline_s)
-        bounded = self._try_bounds(query, qfp, start, deadline_s)
-        if bounded is not None:
-            return self._finish(bounded, start, deadline_s)
-        sampled = self._sampled(query, qfp, eps, dlt)
-        return self._finish(sampled, start, deadline_s)
+        answer = self._try_bounds(query, qfp, start, deadline_s)
+        answer = answer or self._sampled(query, qfp, eps, dlt)
+        return self._finish(replace(answer, detail=answer.detail + stopped), start, deadline_s)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -272,10 +277,10 @@ class MethodLadder:
             return self.session._parse_cached(query, qfp)
         return self.pdb.parse_query(query)
 
-    def _query_answer(self, query: str, method: Method) -> QueryAnswer:
+    def _query_answer(self, query: str, method: Method, budget: Any = None) -> QueryAnswer:
         if self.use_cache:
-            return self.session.query(query, method)
-        return self.pdb.probability(query, method)
+            return self.session.query(query, method, budget=budget)
+        return self.pdb.probability(query, method, budget=budget)
 
     def _direct(self, query: str, method: Method) -> RungAnswer:
         answer = self._query_answer(query, method)
@@ -326,43 +331,30 @@ class MethodLadder:
         cached = self._cached(exact_key)
         if cached is not None:
             return cached
-        # Exact: gate on the grounded lineage size like the DPLL rung (Γ
-        # itself already counted at install; the gate bounds Q's side).
-        fits_exact = (
-            scenario.grounded_size(query) <= self.pdb.exact_lineage_limit
-            and self._fits(
-                self.predictor.predict(pfp, "cond-exact"),
-                self._remaining(start, deadline_s),
-            )
-        )
-        if fits_exact:
+        remaining = self._remaining(start, deadline_s)
+        if not self._fits(self.predictor.predict(pfp, "cond-exact"), remaining):
+            sampled_key = ("ladder", skey, qfp, "cond-sampled", epsilon, delta, self.pdb.seed)
+            cached = self._cached(sampled_key)
+            if cached is not None:
+                return cached
             attempt = time.perf_counter()
-            answer = self._conditioned_rung(scenario.posterior(query), scenario_id)
-            self.predictor.observe(pfp, "cond-exact", time.perf_counter() - attempt)
-            self._remember(exact_key, answer)
-            return answer
-        sampled_key = (
-            "ladder", skey, qfp, "cond-sampled", epsilon, delta, self.pdb.seed,
-        )
-        cached = self._cached(sampled_key)
-        if cached is not None:
-            return cached
+            try:
+                conditioned = scenario.sample_posterior(
+                    query, epsilon=epsilon, delta=delta, rng=self.pdb.rng()
+                )
+            except FormSizeExceeded:
+                pass  # floor: no DNF to sample over, so pay for the exact count
+            else:
+                answer = self._conditioned_rung(conditioned, scenario_id)
+                self.predictor.observe(pfp, "cond-sampled", time.perf_counter() - attempt)
+                self._remember(sampled_key, answer)
+                return answer
+        # Exact, however long it takes: an overrun is flagged by _finish and
+        # its observed cost teaches the predictor.
         attempt = time.perf_counter()
-        try:
-            conditioned = scenario.sample_posterior(
-                query, epsilon=epsilon, delta=delta, rng=self.pdb.rng()
-            )
-        except FormSizeExceeded:
-            # Floor: the DNF is too large to sample over, so pay for the
-            # exact count however long it takes (flagged by _finish when
-            # it overruns; the predictor learns the observed cost).
-            answer = self._conditioned_rung(scenario.posterior(query), scenario_id)
-            self.predictor.observe(pfp, "cond-exact", time.perf_counter() - attempt)
-            self._remember(exact_key, answer)
-            return answer
-        answer = self._conditioned_rung(conditioned, scenario_id)
-        self.predictor.observe(pfp, "cond-sampled", time.perf_counter() - attempt)
-        self._remember(sampled_key, answer)
+        answer = self._conditioned_rung(scenario.posterior(query), scenario_id)
+        self.predictor.observe(pfp, "cond-exact", time.perf_counter() - attempt)
+        self._remember(exact_key, answer)
         return answer
 
     def _conditioned_rung(
@@ -390,6 +382,7 @@ class MethodLadder:
         qfp: str,
         start: float,
         deadline_s: Optional[float],
+        budget: tuple[float, float],
     ) -> Optional[RungAnswer]:
         # The polynomial route the query's structure admits: AUTO's decision,
         # which for the lifted rules is their cached data-free derivation.
@@ -403,19 +396,14 @@ class MethodLadder:
                 answer = self._query_answer(query, route)
                 self.predictor.observe(qfp, route.value, time.perf_counter() - attempt)
                 return self._exact_answer(answer)
-        # Grounded DPLL: exponential worst case; gate on the lineage size
-        # (predicted) and on observed history (actual overruns learned).
-        lineage = (
-            self.session.lineage(query) if self.use_cache else lineage_of(parsed, self.pdb.tid)
-        )
-        variable_count = int(getattr(lineage, "variable_count", 0))
-        if variable_count > self.pdb.exact_lineage_limit:
-            return None  # predicted overrun: lineage too large for exact
+        # Grounded DPLL: exponential worst case; gated on observed history
+        # (actual overruns learned) and raising DPLLBudgetExceeded past the
+        # sampled rung's budget at (ε, δ).
         remaining = self._remaining(start, deadline_s)
         if not self._fits(self.predictor.predict(qfp, "dpll"), remaining):
             return None
         attempt = time.perf_counter()
-        answer = self._query_answer(query, Method.DPLL)
+        answer = self._query_answer(query, Method.DPLL, budget)
         self.predictor.observe(qfp, "dpll", time.perf_counter() - attempt)
         if route is None:  # say why no polynomial route was tried
             answer = replace(answer, detail=f"{answer.detail} ({reason})")
@@ -492,11 +480,8 @@ class MethodLadder:
         cached = self._cached(cache_key)
         if cached is not None:
             return cached
-        lineage = (
-            self.session.lineage(query)
-            if self.use_cache
-            else lineage_of(self.pdb.parse_query(query), self.pdb.tid)
-        )
+        lineage = (self.session.lineage(query) if self.use_cache
+                   else lineage_of(self._parse(query, qfp), self.pdb.tid))
         attempt = time.perf_counter()
         sampled, estimate = self.pdb._sampled(lineage, epsilon, delta, QueryStats())
         kl = sampled.method is Method.KARP_LUBY

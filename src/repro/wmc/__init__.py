@@ -9,6 +9,7 @@ from .brute import (
     weighted_model_count,
 )
 from .dpll import (
+    DPLLBudgetExceeded,
     DPLLCounter,
     DPLLResult,
     DPLLStatistics,
@@ -34,6 +35,7 @@ __all__ = [
     "probability_from_weight",
     "weight_from_probability",
     "weighted_model_count",
+    "DPLLBudgetExceeded",
     "DPLLCounter",
     "DPLLResult",
     "DPLLStatistics",

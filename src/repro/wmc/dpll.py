@@ -10,6 +10,9 @@ Implements the primitives of Sec. 7:
   (:func:`independent_or`) so that many tiny disjuncts do not round to 0;
 * a cache of previously computed probabilities.
 
+``run(..., budget=B)`` raises :class:`DPLLBudgetExceeded` on call B + 1, so
+a caller can cap an exact count at the work of its fallback sampler.
+
 Following Huang and Darwiche, the *trace* of the search is materialized as a
 decision-DNNF in a :class:`repro.kc.circuits.Circuit`: Shannon expansions
 become decision nodes, component splits become independent-∧ nodes, and the
@@ -41,6 +44,11 @@ from ..booleans.kernel import kernel_statistics
 from ..booleans.ops import cofactors, independent_factors, most_frequent_variable
 from ..kc.circuits import FALSE_LEAF, TRUE_LEAF, Circuit
 from ..sanitize import check_circuit
+
+
+class DPLLBudgetExceeded(RuntimeError):
+    """A count passed its call budget. The counter raises it with the calls
+    made; ``ProbabilisticDatabase`` re-raises it naming the whole budget."""
 
 
 @dataclass
@@ -171,7 +179,9 @@ class DPLLCounter:
     #: constraint circuit once and amortize it over every posterior query.
     external_cache: Optional[dict] = None
 
-    def run(self, expr: BExpr, probabilities: Mapping[int, float]) -> DPLLResult:
+    def run(
+        self, expr: BExpr, probabilities: Mapping[int, float], budget: float = math.inf
+    ) -> DPLLResult:
         """Compute P(expr) under independent tuple probabilities."""
         if self.external_cache is not None and self.record_trace:
             raise ValueError(
@@ -184,10 +194,10 @@ class DPLLCounter:
         dnf = positive_dnf_clauses(expr) if self.external_cache is None else None
         if dnf is not None:
             statistics.path = "clause"
-            probability, root = self._count_clauses(dnf, probabilities, statistics, circuit)
+            probability, root = self._count_clauses(dnf, probabilities, statistics, circuit, budget)
         else:
             probability, root = self._count_formula(
-                expr, probabilities, circuit is None, statistics, circuit
+                expr, probabilities, circuit is None, statistics, circuit, budget
             )
         if circuit is not None:
             circuit.root = root
@@ -217,7 +227,7 @@ class DPLLCounter:
 
     def _count_clauses(
         self, dnf: list[list[int]], probabilities: Mapping[int, float],
-        statistics: DPLLStatistics, circuit: Optional[Circuit],
+        statistics: DPLLStatistics, circuit: Optional[Circuit], budget: float,
     ) -> tuple[float, int]:
         """The positive-DNF path. Bit i is the i-th variable in branching
         priority: a fixed order branches on the lowest bit, and frequency
@@ -232,6 +242,8 @@ class DPLLCounter:
 
         def count(clauses: frozenset[int], connected: bool = False) -> tuple[float, int]:
             statistics.calls += 1
+            if statistics.calls > budget:
+                raise DPLLBudgetExceeded(statistics.calls)
             if not clauses:
                 return 0.0, FALSE_LEAF
             if 0 in clauses:
@@ -285,6 +297,7 @@ class DPLLCounter:
     def _count_formula(
         self, expr: BExpr, probabilities: Mapping[int, float], or_split: bool,
         statistics: Optional[DPLLStatistics] = None, circuit: Optional[Circuit] = None,
+        budget: float = math.inf,
     ) -> tuple[float, int]:
         """The general loop over hash-consed formulas. ``or_split=False``
         branches exactly as the pre-kernel counter did, which is what the
@@ -297,6 +310,8 @@ class DPLLCounter:
 
         def count(formula: BExpr) -> tuple[float, int]:
             stats.calls += 1
+            if stats.calls > budget:
+                raise DPLLBudgetExceeded(stats.calls)
             if formula is B_TRUE:
                 return 1.0, TRUE_LEAF
             if formula is B_FALSE:

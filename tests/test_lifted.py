@@ -26,6 +26,7 @@ from repro.logic.cq import (
 from repro.logic.formulas import Atom
 from repro.logic.parser import parse
 from repro.logic.terms import Const, Var
+from repro.plans import execute_boolean, execute_boolean_columnar, project_boolean, safe_plan
 from repro.workloads.generators import random_tid
 
 from conftest import close
@@ -333,3 +334,19 @@ def test_independent_or_keeps_tiny_probabilities(query, relations, count, p, met
     answer = pdb.probability(query, method)
     assert answer.exact
     assert abs(answer.probability - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("query", ["R(x)", "R(x), T(y)"])
+@pytest.mark.parametrize("execute", [execute_boolean, execute_boolean_columnar])
+def test_safe_plan_executors_keep_tiny_probabilities(query, execute):
+    """The rows oracle's ⊕ is ``u + v - u·v``: ``1 - (1-u)(1-v)`` answers
+    0.0 here, where the columnar executor's log-space ⊕ keeps the mass."""
+    pdb = ProbabilisticDatabase()
+    for name in ("R", "T"):
+        for i in range(1000):
+            pdb.add_fact(name, (f"{name}{i}",), 1e-17 if name == "R" else 0.5)
+    plan = project_boolean(safe_plan(parse_cq(query), pdb.tid))
+    expected = -math.expm1(1000 * math.log1p(-1e-17))
+    if "T" in query:
+        expected *= -math.expm1(1000 * math.log1p(-0.5))
+    assert abs(execute(plan, pdb.tid) - expected) <= 1e-12 * expected

@@ -36,9 +36,10 @@ def test_auto_uses_dpll_within_limit(pdb):
 
 
 def test_auto_falls_back_to_karp_luby_beyond_limit():
-    facade = ProbabilisticDatabase(tid=full_tid(23, 3), seed=5)
-    facade.exact_lineage_limit = 0
-    facade.mc_epsilon = 0.05
+    # Complete H0 over 7 constants: DPLL needs ≈8 000 calls, past the
+    # budget of 2 789 = ⌈3·63·ln(2/δ)/ε²⌉ at ε = 0.5.
+    facade = ProbabilisticDatabase(tid=full_tid(23, 7), seed=5)
+    facade.mc_epsilon = 0.5
     answer = facade.probability("R(x), S(x,y), T(y)")
     assert answer.method is Method.KARP_LUBY
     assert not answer.exact
@@ -51,15 +52,69 @@ def test_auto_falls_back_to_karp_luby_beyond_limit():
 
 def test_auto_falls_back_to_monte_carlo_when_dnf_explodes(pdb):
     # a ∀-sentence whose lineage is a large CNF: DNF conversion explodes,
-    # so with a tiny exact limit the router must use naive Monte Carlo.
-    db = full_tid(31, 4)
-    facade = ProbabilisticDatabase(tid=db, seed=7, exact_lineage_limit=0)
-    facade.mc_epsilon = 0.05
+    # so once DPLL (≈8 000 calls) passes its budget of 4 358 at ε = 0.4
+    # the router must use naive Monte Carlo.
+    db = full_tid(31, 7)
+    facade = ProbabilisticDatabase(tid=db, seed=7)
+    facade.mc_epsilon = 0.4
     sentence = "forall x. forall y. (R(x) | S(x,y) | T(y))"
     answer = facade.probability(sentence)
     assert answer.method is Method.MONTE_CARLO
     exact = ProbabilisticDatabase(tid=db).probability(sentence, Method.DPLL)
     assert abs(answer.probability - exact.probability) < 0.08
+
+
+def _diagonal_h1(families=30):
+    db = TupleIndependentDatabase()
+    for i in range(families):
+        db.add_fact("R", (i,), 0.3 + 0.01 * i)
+        db.add_fact("S", (i, i), 0.5)
+        db.add_fact("T", (i,), 0.7 - 0.01 * i)
+    return db
+
+
+def _path(length=100):
+    db = TupleIndependentDatabase()
+    for i in range(length):
+        db.add_fact("R", (i,), 0.2 + 0.005 * i)
+        db.add_fact("T", (i,), 0.6)
+        db.add_fact("S", (i, i), 0.4)
+        if i + 1 < length:
+            db.add_fact("S", (i + 1, i), 0.3)
+    return db
+
+
+@pytest.mark.parametrize(
+    "query, db, variables",
+    [
+        ("R(x), S(x,y) | S(u,v), T(v)", _diagonal_h1(), 90),
+        ("R(x), S(x,y), T(y)", _path(), 399),
+    ],
+    ids=["h1-diagonal", "h0-path"],
+)
+def test_auto_counts_wide_lineages_exactly_when_dpll_is_cheap(query, db, variables):
+    """Past 40 variables AUTO still counts exactly: the DPLL call budget
+    scales with the work of the sampler it would otherwise run."""
+    facade = ProbabilisticDatabase(tid=db, seed=3)
+    answer = facade.probability(query)
+    assert answer.method is Method.DPLL and answer.exact
+    assert f"grounded: {variables} lineage variables" in answer.detail
+    direct = facade.probability(query, Method.DPLL)
+    assert answer.probability == direct.probability  # prodb-lint: exact
+
+
+def test_sampled_answer_names_the_exceeded_budget():
+    facade = ProbabilisticDatabase(tid=full_tid(23, 4), seed=5, mc_epsilon=100.0)
+    answer = facade.probability("R(x), S(x,y), T(y)")
+    assert answer.method is Method.KARP_LUBY
+    stop = "DPLL stopped after 2 calls > budget 1 (24 variables, ε=100.0, δ=0.05)"
+    assert stop in answer.detail and stop in answer.stats.reason
+
+
+def test_constant_lineage_stays_exact_under_any_budget():
+    facade = ProbabilisticDatabase(tid=full_tid(23, 3), seed=5, mc_epsilon=1e9)
+    answer = facade.probability("R(x), S(x,y), Z(y)")  # Z is empty: lineage false
+    assert answer.method is Method.DPLL and answer.probability == 0.0  # prodb-lint: exact
 
 
 def test_detail_mentions_blocking_subquery(pdb):

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.pdb import Method, ProbabilisticDatabase
+from repro.wmc.dpll import DPLLCounter
 from repro.engine.cache import query_fingerprint
 from repro.engine.session import EngineSession
 from repro.obs import MetricsRegistry
@@ -100,9 +101,9 @@ def test_ladder_exact_rung_no_deadline():
 
 def test_ladder_bounds_rung_when_exact_unaffordable():
     session = EngineSession(small_tid(), seed=11)
-    session.pdb.exact_lineage_limit = 0
     ladder = MethodLadder(session)
-    answer = ladder.evaluate("R(x), S(x,y), T(y)", deadline_s=30.0)
+    # ε = 1000 leaves DPLL a budget of one call: exact is unaffordable.
+    answer = ladder.evaluate("R(x), S(x,y), T(y)", deadline_s=30.0, epsilon=1e3)
     assert answer.rung == "bounds"
     assert not answer.exact
     assert answer.lower is not None and answer.upper is not None
@@ -155,7 +156,6 @@ def test_ladder_predictor_learns_from_overruns():
 @pytest.mark.parametrize("query", ("R(x), S(x,y), T(y)", "R(x), S(x,y) | T(u), S(u,v)"))
 def test_ladder_sampled_rung_is_the_library_karp_luby(query, use_cache):
     session = EngineSession(small_tid(), seed=11)
-    session.pdb.exact_lineage_limit = 0
     ladder = MethodLadder(session, use_cache=use_cache, default_epsilon=0.3, default_delta=0.1)
     served = ladder.evaluate(query, deadline_s=1e-9)
     assert served.rung == "sampled" and served.method == "karp-luby"
@@ -181,8 +181,9 @@ def test_ladder_predictor_is_bounded_by_the_cache_size():
 @pytest.mark.parametrize("rung, deadline_s", [("bounds", 30.0), ("sampled", 1e-7)])
 def test_ladder_degraded_answers_keyed_on_the_relations_read(rung, deadline_s):
     session = EngineSession(small_tid(), seed=11)
-    session.pdb.exact_lineage_limit = 0
-    ladder = MethodLadder(session, default_epsilon=0.3, default_delta=0.1)
+    # The bounds case degrades by budget: ε = 1000 leaves DPLL one call.
+    epsilon = 1e3 if rung == "bounds" else 0.3
+    ladder = MethodLadder(session, default_epsilon=epsilon, default_delta=0.1)
     query = "R(x), S(x,y), T(y)"
     first = ladder.evaluate(query, deadline_s=deadline_s)
     assert first.rung == rung and not first.cache_hit
@@ -193,6 +194,34 @@ def test_ladder_degraded_answers_keyed_on_the_relations_read(rung, deadline_s):
     session.add_fact("S", ("a7", "a7"), 0.5)
     after = ladder.evaluate(query, deadline_s=deadline_s)
     assert after.rung == rung and not after.cache_hit
+
+
+def test_ladder_counts_a_48_variable_h0_exactly_without_a_deadline():
+    ladder = MethodLadder(EngineSession(full_tid(23, 6), seed=11))
+    answer = ladder.evaluate("R(x), S(x,y), T(y)")
+    assert answer.rung == "exact" and answer.method == "dpll"
+    assert "grounded: 48 lineage variables" in answer.detail
+
+
+def test_ladder_remembers_a_stopped_count(monkeypatch):
+    runs = []
+    run = DPLLCounter.run
+
+    def counting_run(self, expr, probabilities, budget=float("inf")):
+        runs.append(budget)
+        return run(self, expr, probabilities, budget)
+
+    monkeypatch.setattr(DPLLCounter, "run", counting_run)
+    ladder = MethodLadder(EngineSession(full_tid(23, 6), seed=11))
+    first = ladder.evaluate("R(x), S(x,y), T(y)", epsilon=5.0)
+    assert first.rung == "bounds" and not first.cache_hit
+    stop = "DPLL stopped after 23 calls > budget 22 (48 variables, ε=5.0, δ=0.05)"
+    assert stop in first.detail
+    again = ladder.evaluate("R(x), S(x,y), T(y)", epsilon=5.0)
+    assert again.rung == "bounds" and again.cache_hit and stop in again.detail
+    assert runs == [22]  # the repeat made no second DPLL attempt
+    tighter = ladder.evaluate("R(x), S(x,y), T(y)")  # ε = 0.2: budget 13 280
+    assert tighter.rung == "exact" and runs == [22, 13280]
 
 
 # -- seeded reproducibility (satellite) ---------------------------------------

@@ -42,6 +42,20 @@ def main() -> None:
     from repro.workloads.generators import figure1_database
 
     session = EngineSession(figure1_database(), seed=7)
+    # Two grounded (non-hierarchical) shapes for the DPLL call budget: a
+    # 59-variable path A–B–C that DPLL counts in a few hundred calls, and a
+    # complete 24-variable D–E–F whose ≈360 calls pass the budget at ε = 50.
+    for i in range(15):
+        session.add_fact("A", (i,), 0.5)
+        session.add_fact("C", (i,), 0.6)
+        session.add_fact("B", (i, i), 0.7)
+        if i:
+            session.add_fact("B", (i, i - 1), 0.4)
+    for i in range(4):
+        session.add_fact("D", (i,), 0.5)
+        session.add_fact("F", (i,), 0.6)
+        for j in range(4):
+            session.add_fact("E", (i, j), 0.7)
     # Use the process-default registry so the scrape also shows the engine
     # counters SessionStats publishes (the smoke runs in its own process).
     config = ServerConfig(
@@ -82,6 +96,19 @@ def main() -> None:
                 f"P={degraded['probability']:.6f} (|Δ|={error:.4f}) — "
                 f"{degraded['guarantee']}"
             )
+
+            # 2b. The DPLL call budget, applied in whichever process answers:
+            # a wide but easy lineage stays exact with no deadline, and a
+            # large ε leaves a dense one a budget DPLL cannot meet.
+            wide = client.query("A(x), B(x,y), C(y)")
+            if wide.get("rung") != "exact" or "59 lineage variables" not in wide.get("detail", ""):
+                fail(f"a 59-variable path lineage must be counted exactly: {wide}")
+            dense = client.query("D(x), E(x,y), F(y)", epsilon=50.0)
+            if dense.get("rung") not in ("bounds", "sampled"):
+                fail(f"a large epsilon must degrade a dense lineage: {dense}")
+            if "DPLL stopped after" not in dense.get("detail", ""):
+                fail(f"a degraded answer must name the exceeded budget: {dense}")
+            print(f"  budget: 59-variable path exact; dense H0 at ε=50 → {dense['rung']}")
 
             # 3. Protocol validation stays a response, not a dropped socket.
             bad = client.request({"query": "R(x,"})

@@ -12,7 +12,7 @@ one (the shift avoids the ambiguous literal 0).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .expr import (
     B_FALSE,
@@ -93,6 +93,35 @@ def _clauses(expr: BExpr, conjunctive: bool, max_clauses: int) -> list[Clause]:
     # For DNF: Or distributes clause lists by union, And takes cross products.
     # For CNF the roles swap; unify by flipping which node type multiplies.
     cross_node, merge_node = (BOr, BAnd) if conjunctive else (BAnd, BOr)
+    empty_means_true = not conjunctive
+    sizes: dict[int, Optional[int]] = {}
+
+    def size(node: BExpr) -> Optional[int]:
+        """How many clauses ``walk(node)`` returns — a count past
+        *max_clauses* where it raises — or None when the subtree has a
+        negation. Without one no clause is contradictory, so a merge node
+        sums its parts' counts and a cross node multiplies them."""
+        if isinstance(node, BVar):
+            return 1
+        if isinstance(node, (BTrue, BFalse)):
+            return 1 if isinstance(node, BTrue) == empty_means_true else 0
+        if not isinstance(node, (BAnd, BOr)):
+            return None
+        if node.nid in sizes:
+            return sizes[node.nid]
+        cross = isinstance(node, cross_node)
+        total = 1 if cross else 0
+        for part in node.parts:
+            n = size(part)
+            if n is None:
+                sizes[node.nid] = None
+                return None
+            if not (cross and total == 0):  # walk stops once the product is empty
+                total = total * n if cross else total + n
+            if total > max_clauses:
+                break
+        sizes[node.nid] = total
+        return total
 
     def walk(node: BExpr) -> list[Clause]:
         if isinstance(node, BVar):
@@ -101,12 +130,13 @@ def _clauses(expr: BExpr, conjunctive: bool, max_clauses: int) -> list[Clause]:
             assert isinstance(node.sub, BVar), "input must be NNF"
             return [frozenset({literal(node.sub.index, False)})]
         if isinstance(node, (BTrue, BFalse)):
-            truthy = isinstance(node, BTrue)
             # In DNF: true = one empty clause, false = no clauses; CNF dual.
-            empty_means_true = not conjunctive
-            if truthy == empty_means_true:
+            if isinstance(node, BTrue) == empty_means_true:
                 return [frozenset()]
             return []
+        expected = size(node)
+        if expected is not None and expected > max_clauses:
+            raise FormSizeExceeded(f"more than {max_clauses} clauses")
         if isinstance(node, merge_node):
             out: list[Clause] = []
             for part in node.parts:
@@ -117,9 +147,12 @@ def _clauses(expr: BExpr, conjunctive: bool, max_clauses: int) -> list[Clause]:
         if isinstance(node, cross_node):
             acc: list[Clause] = [frozenset()]
             for part in node.parts:
+                if not acc:
+                    break
+                rights = walk(part)
                 nxt: list[Clause] = []
                 for left in acc:
-                    for right in walk(part):
+                    for right in rights:
                         combined = left | right
                         if _contradictory(combined):
                             continue

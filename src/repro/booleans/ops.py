@@ -10,10 +10,9 @@ These are the primitives of the DPLL-style algorithms of Sec. 7:
 
 All three lean on the hash-consing kernel (:mod:`repro.booleans.kernel`):
 subtrees that do not mention an assigned variable are returned *unchanged*
-(same object — the per-node variable sets make the check O(1)), and
-single-variable restrictions and factor splits are memoized process-wide by
-node id, so repeated Shannon expansions of shared subformulas cost O(1)
-after the first computation.
+(same object — the per-node variable sets make the check O(1)), and a
+restriction memoizes by node id within the call, so a subformula shared
+inside the expression is restricted once.
 """
 
 from __future__ import annotations
@@ -32,35 +31,6 @@ from .expr import (
     BVar,
     bnot,
 )
-from .kernel import DEFAULT_MANAGER
-
-
-def _condition_single(expr: BExpr, var: int, value: bool) -> BExpr:
-    """F[var := value] with the kernel's process-wide cofactor memo."""
-    if var not in expr._vars:
-        return expr
-    manager = DEFAULT_MANAGER
-    memo = manager.cofactor_memo
-    memo_key = (expr.nid, var, value)
-    cached = memo.get(memo_key)
-    if cached is not None:
-        manager.counters.cofactor_hits += 1
-        return cached
-    manager.counters.cofactor_misses += 1
-    if isinstance(expr, BVar):
-        result: BExpr = B_TRUE if value else B_FALSE
-    elif isinstance(expr, BNot):
-        result = bnot(_condition_single(expr.sub, var, value))
-    elif isinstance(expr, BAnd):
-        result = BAnd.of(_condition_single(p, var, value) for p in expr.parts)
-    elif isinstance(expr, BOr):
-        result = BOr.of(_condition_single(p, var, value) for p in expr.parts)
-    else:
-        raise TypeError(f"unknown node {expr!r}")
-    if len(memo) >= manager.memo_limit:
-        memo.clear()
-    memo[memo_key] = result
-    return result
 
 
 def condition(expr: BExpr, assignment: Mapping[int, bool]) -> BExpr:
@@ -71,9 +41,6 @@ def condition(expr: BExpr, assignment: Mapping[int, bool]) -> BExpr:
     mention none of the assigned variables come back unchanged — the very
     same interned object, not a rebuilt copy.
     """
-    if len(assignment) == 1:
-        (var, value), = assignment.items()
-        return _condition_single(expr, var, bool(value))
     assigned = frozenset(assignment)
     memo: dict[int, BExpr] = {}
 
@@ -103,7 +70,7 @@ def condition(expr: BExpr, assignment: Mapping[int, bool]) -> BExpr:
 
 def cofactors(expr: BExpr, var: int) -> tuple[BExpr, BExpr]:
     """The pair (F[var := 0], F[var := 1]) used by the Shannon expansion."""
-    return _condition_single(expr, var, False), _condition_single(expr, var, True)
+    return condition(expr, {var: False}), condition(expr, {var: True})
 
 
 def independent_factors(expr: BExpr) -> list[BExpr]:
@@ -112,16 +79,10 @@ def independent_factors(expr: BExpr) -> list[BExpr]:
     For a conjunction F = F₁ ∧ F₂ with disjoint variables the factors are
     independent events (rule (12)); for a disjunction the dual independent-or
     applies. A node that is neither, or whose parts all share variables,
-    comes back as a single factor. Results are memoized by node id.
+    comes back as a single factor.
     """
     if not isinstance(expr, (BAnd, BOr)):
         return [expr]
-    manager = DEFAULT_MANAGER
-    cached = manager.factors_memo.get(expr.nid)
-    if cached is not None:
-        manager.counters.factor_hits += 1
-        return list(cached)
-    manager.counters.factor_misses += 1
     parts = expr.parts
     n = len(parts)
     parent = list(range(n))
@@ -147,14 +108,9 @@ def independent_factors(expr: BExpr) -> list[BExpr]:
     for i, part in enumerate(parts):
         groups.setdefault(find(i), []).append(part)
     if len(groups) == 1:
-        factors = [expr]
-    else:
-        builder = BAnd.of if isinstance(expr, BAnd) else BOr.of
-        factors = [builder(group) for group in groups.values()]
-    if len(manager.factors_memo) >= manager.memo_limit:
-        manager.factors_memo.clear()
-    manager.factors_memo[expr.nid] = tuple(factors)
-    return factors
+        return [expr]
+    builder = BAnd.of if isinstance(expr, BAnd) else BOr.of
+    return [builder(group) for group in groups.values()]
 
 
 def variable_frequencies(expr: BExpr) -> dict[int, int]:
@@ -171,23 +127,11 @@ def variable_frequencies(expr: BExpr) -> dict[int, int]:
 
 
 def most_frequent_variable(expr: BExpr) -> int:
-    """The variable with the most occurrences (ties broken by index).
-
-    Memoized by node id: the DPLL counter asks this of every subformula it
-    expands, and shared subformulas recur across and within runs.
-    """
-    manager = DEFAULT_MANAGER
-    cached = manager.branch_memo.get(expr.nid)
-    if cached is not None:
-        return cached
+    """The variable with the most occurrences (ties broken by index)."""
     counts = variable_frequencies(expr)
     if not counts:
         raise ValueError("expression has no variables")
-    best = max(counts, key=lambda v: (counts[v], -v))
-    if len(manager.branch_memo) >= manager.memo_limit:
-        manager.branch_memo.clear()
-    manager.branch_memo[expr.nid] = best
-    return best
+    return max(counts, key=lambda v: (counts[v], -v))
 
 
 def is_positive(expr: BExpr) -> bool:

@@ -239,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="FACT=BOOL",
         help="what-if evidence, e.g. --force 'R(2)=true' (repeatable); "
-        "derives the scenario by cofactor instead of recompiling",
+        "pins those facts in the compiled scenario instead of recompiling",
     )
     condition.add_argument(
         "--top-k",

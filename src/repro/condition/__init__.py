@@ -2,9 +2,10 @@
 
 The engine answers ``P(Q)``; this package *maintains* a database under a
 constraint set Γ in the sense of Koch–Olteanu ("Conditioning Probabilistic
-Databases"): compile Γ once into an interned-kernel circuit, then serve
-posteriors, per-fact marginals, top-k most probable worlds and incremental
-what-if scenarios against it.
+Databases"): Γ's fact literals and every what-if force pin their facts to
+probability 1/0, the query constraints are compiled once into a decision
+circuit, and posteriors, per-fact marginals, top-k most probable worlds and
+incremental what-if scenarios evaluate that circuit under the pins.
 
 * :mod:`repro.condition.core` — the constraint grammar and the
   compile-once :class:`~repro.condition.core.ConditionedScenario`;

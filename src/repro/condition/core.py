@@ -1,32 +1,37 @@
 """Compile a constraint set Γ once; serve ``P(Q | Γ)``, top-k and what-if.
 
-Conditioning (Koch–Olteanu) turns a tuple-independent database into the
-posterior distribution ``P(W | W ⊨ Γ)``. Everything reduces to weighted
-model counting over one shared variable pool:
+Conditioning (Koch–Olteanu, arXiv:0803.2212) turns a tuple-independent
+database into the posterior distribution ``P(W | W ⊨ Γ)``. A scenario is
+a pair *(pins, G)*:
 
-* ``posterior(Q)`` — ``P(Q ∧ Γ) / P(Γ)``: the query's lineage is grounded
-  over the *scenario's* pool (so variable indices line up with Γ), the
-  conjunction is counted by the DPLL counter, and the count is
-  renormalized by ``P(Γ)``. Ground single-fact queries skip the
-  conjunction: one memoized differentiation pass over the compiled
-  circuit yields every fact's posterior, making each such request O(1).
-* ``fact_posteriors()`` — per-fact posteriors via circuit differentiation
-  (:mod:`repro.kc.differentiate`) on the compiled constraint circuit.
-* ``top_k_worlds(k)`` — the k most probable Γ-satisfying worlds via the
-  branch-and-bound extension of :mod:`repro.kc.mpe`.
-* ``whatif(force)`` — incremental re-conditioning: forcing a fact in/out
-  is a kernel cofactor on its literal (:func:`repro.booleans.ops.condition`),
-  never a recompile; the derived scenario shares the parent's pool and
-  count cache.
+* the **pins** are Γ's fact literals ``+R(a)`` / ``-R(a)`` and every
+  what-if force — evidence on one fact, which sets that fact's
+  probability to 1 or 0;
+* **G** is the conjunction of Γ's query constraints, grounded over the
+  scenario's variable pool and restricted by the literals.
 
-**Compile once, count forever.** The scenario owns a persistent
-``{node id → probability}`` cache threaded through every DPLL run
-(:class:`~repro.wmc.dpll.DPLLCounter` ``external_cache``). Counting Γ at
-install time seeds the cache with every Shannon subformula of Γ; a later
-``P(Q ∧ Γ)`` only explores the thin layer where Q's lineage meets Γ — in
-the common case where they share no variables, the Γ factor is an O(1)
-lookup. This is sound because node ids identify formulas and the pool's
-probabilities are fixed for the scenario's lifetime.
+Under the pinned measure P_π, ``P(Q | Γ) = P_π(Q ∧ G) / P_π(G)``. A
+scenario family (a base scenario and its what-if derivations) compiles G
+once into a decision circuit — the clause-path DPLL trace when G is one
+positive query, that trace with its leaves swapped for one ``!Q``, the
+general loop's decision-DNNF otherwise — and answers by evaluating or
+differentiating that circuit under its pins:
+
+* ``gamma_probability`` — ``P_π(G)`` times the prior factor of Γ's
+  unforced literals: ``P(Γ)`` for a base scenario, ``P(Γ | F)`` for a
+  what-if with evidence F;
+* ``posterior(Q)`` — Q's lineage is grounded over the scenario's pool and
+  restricted by the pins. A single fact of G reads a differentiation pass
+  (base) or one circuit evaluation with the fact pinned (what-if); a Q
+  sharing no variable with G is independent of it, ``P(Q)``; otherwise
+  ``P_π(Q ∧ G)`` is counted per request, on the clause path as the clause
+  set {q ∪ g} when Q and G are positive queries;
+* ``fact_posteriors()`` — every constraint-relevant fact's posterior from
+  one differentiation pass (:mod:`repro.kc.differentiate`);
+* ``top_k_worlds(k)`` — the k most probable Γ-worlds by the
+  branch-and-bound of :mod:`repro.kc.mpe` over the same circuit;
+* ``whatif(force)`` — pins more facts: one evaluation of the family's
+  circuit, never a recompile.
 
 Constraint grammar (one constraint per spec string)::
 
@@ -38,21 +43,21 @@ Constraint grammar (one constraint per spec string)::
 Queries use the engine's full syntax (FO sentence, CQ or UCQ shorthand);
 constants are integers or quoted strings, as in the parser.
 
-Thread safety: a scenario family (base plus its what-if derivations)
-shares one :class:`~repro.sanitize.RankedLock` of rank
+Thread safety: a scenario family shares one
+:class:`~repro.sanitize.RankedLock` of rank
 :data:`~repro.sanitize.RANK_SCENARIO`, held across pool growth and
-counting — evaluations against one scenario serialize, distinct scenarios
-proceed independently. The lock wraps only kernel and counter work, never
-another ranked lock.
+counting — evaluations against one family serialize, distinct scenarios
+proceed independently. The lock wraps only kernel, counter and circuit
+work, never another ranked lock.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
-from ..booleans.expr import B_FALSE, B_TRUE, BAnd, BExpr, BVar, bnot
+from ..booleans.expr import BAnd, BExpr, BNot, BOr, BVar, bnot
 from ..booleans.forms import to_dnf
 from ..booleans.ops import condition as restrict
 from ..core.pdb import ProbabilisticDatabase, Query
@@ -67,7 +72,7 @@ from ..logic.formulas import Atom
 from ..logic.semantics import Fact
 from ..logic.terms import Const
 from ..sanitize import RANK_SCENARIO, RankedLock, check_probability
-from ..wmc.dpll import DPLLCounter, DPLLResult, compile_decision_dnnf
+from ..wmc.dpll import DPLLCounter, compile_decision_dnnf, positive_dnf_clauses
 from ..wmc.karp_luby import karp_luby
 
 __all__ = [
@@ -231,45 +236,75 @@ def _parse_fact(pdb: ProbabilisticDatabase, text: str) -> Fact:
     return (atom.predicate, tuple(values))
 
 
+@dataclass(frozen=True)
+class _Family:
+    """What a base scenario and its what-if derivations share.
+
+    The pool only grows (query grounding adds facts) and only under
+    ``lock``; everything else is fixed at compile time.
+    """
+
+    pdb: ProbabilisticDatabase
+    constraints: ConstraintSet
+    pool: VariablePool
+    lock: RankedLock
+    db_fingerprint: str
+    #: Γ's fact literals: variable → the value Γ pins it to.
+    literals: Dict[int, bool]
+    #: Γ as grounded (literals ∧ query constraints), for Γ-rejection sampling.
+    gamma_expr: BExpr
+    #: The query constraints G, restricted by the literals.
+    g_expr: BExpr
+    #: G's decision circuit, evaluated under each scenario's pins.
+    circuit: Circuit
+    #: The facts Γ mentions, in variable order.
+    gamma_vars: Tuple[int, ...]
+
+
+def _compile(g_expr: BExpr, probabilities: Mapping[int, float]) -> Circuit:
+    """G's decision circuit: the DPLL trace (the clause path's when G is a
+    positive query), with the leaves swapped when G is one negated positive
+    query — a trace of decision nodes only negates that way."""
+    if isinstance(g_expr, BNot) and positive_dnf_clauses(g_expr.sub) is not None:
+        return _compile(g_expr.sub, probabilities).negated()
+    circuit = compile_decision_dnnf(g_expr, probabilities).circuit
+    assert circuit is not None  # compile_decision_dnnf always records a trace
+    return circuit
+
+
 class ConditionedScenario:
     """A compiled constraint set and everything served against it.
 
     Build with :meth:`compile` (or :func:`condition_database`); derive
     what-if variants with :meth:`whatif`. A base scenario and its
-    derivations form one family sharing the variable pool, the persistent
-    count cache and the family lock.
+    derivations form one family sharing the variable pool, G's compiled
+    circuit and the family lock; a scenario adds only its pins.
     """
 
-    def __init__(
-        self,
-        pdb: ProbabilisticDatabase,
-        constraints: ConstraintSet,
-        *,
-        pool: VariablePool,
-        gamma_expr: BExpr,
-        gamma_probability: float,
-        gamma_vars: Tuple[int, ...],
-        forced: Dict[int, bool],
-        counts: Dict[int, Tuple[float, int]],
-        lock: RankedLock,
-        db_fingerprint: str,
-    ) -> None:
-        self.pdb = pdb
-        self.constraints = constraints
-        self.pool = pool
-        self.gamma_expr = gamma_expr
-        self.gamma_probability = gamma_probability
-        self.db_fingerprint = db_fingerprint
-        self._gamma_vars = gamma_vars
+    def __init__(self, family: _Family, forced: Mapping[int, bool]) -> None:
+        """A scenario of *family* with what-if evidence *forced*; call with
+        the family lock held (it reads the pool)."""
+        self._family = family
+        self.pdb = family.pdb
+        self.constraints = family.constraints
+        self.pool = family.pool
+        self.db_fingerprint = family.db_fingerprint
+        self._lock = family.lock
         self._forced = dict(forced)
-        self._counts = counts
-        self._lock = lock
-        self._compiled_gamma: Optional[DPLLResult] = None
+        self._pins = {**family.literals, **self._forced}
+        self._world_vars = tuple(sorted(set(family.gamma_vars) | set(forced)))
+        # Evidence contributes no prior mass: only unforced literals do.
+        factor = 1.0
+        for var, value in family.literals.items():
+            if var not in self._forced:
+                prior = self.pool.probabilities[var]
+                factor *= prior if value else 1.0 - prior
+        self._prior_factor = factor
+        #: P_π(G), the constraint mass under this scenario's pins.
+        self._mass = family.circuit.wmc(self._weights())
+        self.gamma_probability = factor * self._mass
+        self._g: Optional[BExpr] = None
         self._fact_reports: Optional[Dict[int, VariableReport]] = None
-        # The family's base scenario: what-if derivations answer single-fact
-        # posteriors by re-weighting ITS compiled circuit (forced variables
-        # pinned to probability 1/0) instead of compiling their own Γ'.
-        self._root: "ConditionedScenario" = self
 
     # -- construction ----------------------------------------------------------
 
@@ -279,11 +314,8 @@ class ConditionedScenario:
         db: Union[ProbabilisticDatabase, TupleIndependentDatabase],
         constraints: Union[ConstraintSet, str, Iterable[Union[str, Constraint]]],
     ) -> "ConditionedScenario":
-        """Ground and count Γ once; raises on an impossible constraint set.
-
-        Counting ``P(Γ)`` seeds the scenario's persistent count cache with
-        every Shannon subformula of Γ — the work later posteriors reuse.
-        """
+        """Ground Γ, pin its literals and compile G once; raises on an
+        impossible constraint set."""
         pdb = (
             db
             if isinstance(db, ProbabilisticDatabase)
@@ -294,117 +326,113 @@ class ConditionedScenario:
             if isinstance(constraints, ConstraintSet)
             else ConstraintSet.parse(constraints)
         )
-        pool = VariablePool()
-        parts: List[BExpr] = []
-        for constraint in gamma:
-            parts.append(cls._ground_constraint(pdb, pool, constraint))
-        gamma_expr = BAnd.of(parts)
-        counts: Dict[int, Tuple[float, int]] = {}
-        scenario = cls(
-            pdb,
-            gamma,
-            pool=pool,
-            gamma_expr=gamma_expr,
-            gamma_probability=1.0,
-            gamma_vars=tuple(sorted(gamma_expr.variables())),
-            forced={},
-            counts=counts,
-            lock=RankedLock(RANK_SCENARIO, "condition.scenario"),
-            db_fingerprint=pdb.tid.fingerprint(),
+        impossible = InconsistentConstraints(
+            f"constraints have probability zero: {gamma}"
         )
-        with scenario._lock:
-            p_gamma = scenario._count_locked(gamma_expr)
-        if p_gamma <= 0.0:
-            raise InconsistentConstraints(
-                f"constraints have probability zero: {gamma}"
-            )
-        scenario.gamma_probability = p_gamma
+        tid = pdb.tid
+        pool = VariablePool()
+        literals: Dict[int, bool] = {}
+        parts: List[BExpr] = []
+        queries: List[BExpr] = []
+        for constraint in gamma:
+            if constraint.kind in ("assert", "deny"):
+                fact = _parse_fact(pdb, constraint.text)
+                probability = tid.probability_of_fact(fact[0], fact[1])
+                value = constraint.kind == "assert"
+                if probability <= 0.0:
+                    # An absent fact: asserting it is impossible, denying it
+                    # is vacuous — neither pollutes the pool.
+                    if value:
+                        raise impossible
+                    continue
+                literal = pool.literal(fact, probability)
+                if literals.setdefault(literal.index, value) != value:
+                    raise impossible
+                parts.append(literal if value else bnot(literal))
+            else:
+                expr = lineage_of(pdb.parse_query(constraint.text), tid, pool).expr
+                queries.append(expr if constraint.kind == "require" else bnot(expr))
+        gamma_expr = BAnd.of(parts + queries)
+        g_expr = restrict(BAnd.of(queries), literals)
+        family = _Family(
+            pdb=pdb,
+            constraints=gamma,
+            pool=pool,
+            lock=RankedLock(RANK_SCENARIO, "condition.scenario"),
+            db_fingerprint=tid.fingerprint(),
+            literals=literals,
+            gamma_expr=gamma_expr,
+            g_expr=g_expr,
+            circuit=_compile(g_expr, pool.probability_map()),
+            gamma_vars=tuple(sorted(gamma_expr.variables())),
+        )
+        with family.lock:
+            scenario = cls(family, {})
+        if scenario.gamma_probability <= 0.0:
+            raise impossible
         return scenario
 
-    @staticmethod
-    def _ground_constraint(
-        pdb: ProbabilisticDatabase, pool: VariablePool, constraint: Constraint
-    ) -> BExpr:
-        tid = pdb.tid
-        if constraint.kind in ("assert", "deny"):
-            fact = _parse_fact(pdb, constraint.text)
-            probability = tid.probability_of_fact(fact[0], fact[1])
-            if probability <= 0.0:
-                # An absent fact: asserting it is impossible, denying it
-                # is vacuous — neither pollutes the pool.
-                return B_FALSE if constraint.kind == "assert" else B_TRUE
-            literal = pool.literal(fact, probability)
-            return literal if constraint.kind == "assert" else bnot(literal)
-        parsed = pdb.parse_query(constraint.text)
-        expr = lineage_of(parsed, tid, pool).expr
-        return expr if constraint.kind == "require" else bnot(expr)
+    # -- the pinned measure ----------------------------------------------------
 
-    # -- counting --------------------------------------------------------------
+    def _weights(self) -> Dict[int, float]:
+        """The pool's priors with every pinned fact at 1 or 0: the measure
+        P_π under which ``P(Q | Γ) = P_π(Q ∧ G) / P_π(G)``."""
+        weights = dict(enumerate(self.pool.probabilities))
+        for var, value in self._pins.items():
+            weights[var] = 1.0 if value else 0.0
+        return weights
 
-    def _probability_map(self) -> Dict[int, float]:
-        return dict(enumerate(self.pool.probabilities))
+    def _ground_locked(self, query: Query, pins: Mapping[int, bool]) -> BExpr:
+        parsed = self.pdb.parse_query(query)
+        return restrict(lineage_of(parsed, self.pdb.tid, self.pool).expr, pins)
 
-    def _count_locked(self, expr: BExpr) -> float:
-        counter = DPLLCounter(external_cache=self._counts)
-        return counter.run(expr, self._probability_map()).probability
+    def _g_locked(self) -> BExpr:
+        """G restricted by this scenario's pins."""
+        if self._g is None:
+            self._g = restrict(self._family.g_expr, self._forced)
+        return self._g
 
-    def _joint_locked(self, q_expr: BExpr) -> float:
-        """``P(Q ∧ Γ)`` for a grounded query expression.
+    def _conditional_locked(self, q_expr: BExpr) -> float:
+        """``P_π(Q | G)`` for a query lineage restricted by the pins.
 
-        When Q's lineage is one positive variable, the joint is
-        ``P(f | Γ) · P(Γ)`` with no DPLL run per query: base scenarios
-        read the fact's posterior from the memoized differentiation pass;
-        what-if derivations re-weight the base's compiled circuit with the
-        forced variables pinned to 1/0 (one linear evaluation). Everything
-        else counts the conjunction.
+        A single fact of Γ reads the differentiation pass of a base
+        scenario, or one evaluation of the circuit with the fact pinned
+        for a what-if. A Q sharing no variable with G is independent of
+        it: ``P(Q)``. Otherwise ``P_π(Q ∧ G)`` is counted — on the clause
+        path as the clause set {q ∪ g} when both are positive queries, by
+        the general loop otherwise — and divided by ``P_π(G)``.
         """
-        if isinstance(q_expr, BVar):
+        if isinstance(q_expr, BVar) and q_expr.index in self._family.g_expr.variables():
             var = q_expr.index
             if not self._forced:
-                try:
-                    report = self._fact_reports_locked().get(var)
-                except ZeroDivisionError:
-                    # Float disagreement between the DPLL count that
-                    # admitted this scenario and the circuit evaluation:
-                    # fall through to the conjunction count, don't crash.
-                    pass
-                else:
-                    if report is None:
-                        # The fact was pooled after the differentiation
-                        # pass ran, so it cannot occur in Γ: it is
-                        # independent of Γ and its posterior is its prior.
-                        return (
-                            self.pool.probabilities[var]
-                            * self.gamma_probability
-                        )
-                    return report.posterior * self.gamma_probability
-            elif self._root._compiled_gamma is not None:
-                circuit = self._root._compiled_locked()
-                probabilities = self._pinned_probabilities_locked()
-                prior = probabilities[var]
-                probabilities[var] = 1.0
-                # P(f ∧ Γ | F) = p_f · P(Γ | F, f=1)
-                return prior * circuit.wmc(probabilities)
-        return self._count_locked(BAnd.of((q_expr, self.gamma_expr)))
-
-    def _pinned_probabilities_locked(self) -> Dict[int, float]:
-        """The pool's priors with each forced variable pinned to 1/0.
-
-        Evaluating a d-DNNF under this re-weighted measure computes
-        conditional masses ``P(· | forced)`` exactly — the circuit never
-        needs recompiling for what-if evidence.
-        """
-        probabilities = self._probability_map()
-        for var, value in self._forced.items():
-            probabilities[var] = 1.0 if value else 0.0
-        return probabilities
-
-    def _ground_locked(self, query: Query) -> BExpr:
-        parsed = self.pdb.parse_query(query)
-        expr = lineage_of(parsed, self.pdb.tid, self.pool).expr
-        if self._forced:
-            expr = restrict(expr, self._forced)
-        return expr
+                return self._fact_reports_locked()[var].posterior
+            weights = self._weights()
+            weights[var] = 1.0
+            # P(f | Γ, F) = p_f · P_π(G | f=1) / P_π(G)
+            return self.pool.probabilities[var] * self._family.circuit.wmc(weights) / self._mass
+        g_expr = self._g_locked()
+        counter = DPLLCounter()
+        if q_expr.variables().isdisjoint(g_expr.variables()):
+            return counter.run(q_expr, self._weights()).probability
+        q_clauses = positive_dnf_clauses(q_expr)
+        g_clauses = positive_dnf_clauses(g_expr)
+        if q_clauses is not None and g_clauses is not None:
+            # Q ∧ G = ⋁ q ∧ g over clause pairs; a clause containing a clause
+            # of the other side implies that side and stands for its pairs.
+            q_sets = [frozenset(c) for c in q_clauses]
+            g_sets = [frozenset(c) for c in g_clauses]
+            clauses: List[FrozenSet[int]] = []
+            free_q: List[FrozenSet[int]] = []
+            free_g: List[FrozenSet[int]] = []
+            for own, other, free in ((q_sets, g_sets, free_q), (g_sets, q_sets, free_g)):
+                for c in own:
+                    (clauses if any(o <= c for o in other) else free).append(c)
+            clauses += [q | g for q in free_q for g in free_g]
+            nodes = self.pool.node_of_var
+            joint = BOr.of(BAnd.of([nodes[v] for v in c]) for c in clauses)
+        else:
+            joint = BAnd.of((q_expr, g_expr))
+        return counter.run(joint, self._weights()).probability / self._mass
 
     # -- queries ---------------------------------------------------------------
 
@@ -421,24 +449,23 @@ class ConditionedScenario:
             for var, value in self._forced.items()
         }
 
+    @property
+    def gamma_expr(self) -> BExpr:
+        """Γ as one formula, literals included, with the evidence restricted out."""
+        return restrict(self._family.gamma_expr, self._forced)
+
     def world_facts(self) -> List[Fact]:
         """The constraint-relevant facts :meth:`top_k_worlds` assigns."""
-        return [self.pool.fact_of_var[var] for var in self._gamma_vars]
+        return [self.pool.fact_of_var[var] for var in self._world_vars]
 
     def posterior(self, query: Query) -> ConditionedAnswer:
-        """``P(Q | Γ)`` exactly, via conjunction counting + renormalization.
-
-        Ground single-fact queries on a base scenario skip the conjunction
-        entirely: one differentiation pass over the compiled Γ circuit
-        (memoized for the scenario's lifetime) yields *every* fact's
-        posterior at once, so each lookup is O(1) after the first.
-        """
+        """``P(Q | Γ)`` exactly, as ``P_π(Q ∧ G) / P_π(G)`` under the pins."""
         with self._lock:
-            q_expr = self._ground_locked(query)
-            joint = self._joint_locked(q_expr)
-        p_gamma = self.gamma_probability
-        probability = min(joint / p_gamma, 1.0)
+            conditional = self._conditional_locked(self._ground_locked(query, self._pins))
+        probability = min(conditional, 1.0)
         check_probability(probability, context="conditioned posterior")
+        p_gamma = self.gamma_probability
+        joint = probability * p_gamma
         return ConditionedAnswer(
             probability=probability,
             joint=joint,
@@ -470,9 +497,9 @@ class ConditionedScenario:
         too large; callers fall back to their own floor.
         """
         with self._lock:
-            q_expr = self._ground_locked(query)
+            q_expr = self._ground_locked(query, self._forced)
             gamma_expr = self.gamma_expr
-            probabilities = self._probability_map()
+            probabilities = self.pool.probability_map()
         estimate = karp_luby(
             to_dnf(q_expr),
             probabilities,
@@ -502,79 +529,48 @@ class ConditionedScenario:
 
     # -- per-fact posteriors ---------------------------------------------------
 
-    def _compiled_locked(self) -> Circuit:
-        if self._compiled_gamma is None:
-            self._compiled_gamma = compile_decision_dnnf(
-                self.gamma_expr, self._probability_map()
-            )
-        circuit = self._compiled_gamma.circuit
-        assert circuit is not None  # compile_decision_dnnf always records a trace
-        return circuit
-
     def _fact_reports_locked(self) -> Dict[int, VariableReport]:
-        """Per-variable reports from one differentiation pass, memoized.
+        """A report per constraint-relevant fact, memoized.
 
-        Base scenarios differentiate their own compiled circuit. What-if
-        derivations differentiate the *base* scenario's circuit with each
-        forced variable's probability pinned to 1/0 — re-weighting a
-        d-DNNF conditions it exactly, so Γ' never needs its own compile.
-        Sound for the scenario's lifetime: pooled variables keep their
-        probabilities, and Γ never changes after compile. Variables pooled
-        later (by query grounding) are absent — they cannot appear in Γ.
-        (Forced variables' ``prior`` fields read as the pinned 1/0 here;
-        :meth:`fact_posteriors` reports true priors via its own path.)
+        One differentiation pass over G's circuit under the pins gives
+        every free fact's posterior; ``derivative`` is ∂P(Γ)/∂p (for a
+        what-if, of ``P(Γ | F)``). A pinned fact's posterior is its pin:
+        evidence has derivative 0, and P(Γ) is linear in a literal's prior.
         """
         if self._fact_reports is None:
-            circuit = self._root._compiled_locked()
-            self._fact_reports = differentiate(
-                circuit, self._pinned_probabilities_locked()
+            weights = self._weights()
+            free = differentiate(
+                self._family.circuit, {var: weights[var] for var in self._world_vars}
             )
+            reports: Dict[int, VariableReport] = {}
+            for var in self._world_vars:
+                prior = self.pool.probabilities[var]
+                pinned = self._pins.get(var)
+                if pinned is None:
+                    report = free[var]
+                    derivative = self._prior_factor * report.derivative
+                    posterior = report.posterior
+                else:
+                    posterior = 1.0 if pinned else 0.0
+                    derivative = (
+                        0.0
+                        if var in self._forced
+                        else self.gamma_probability / (prior if pinned else prior - 1.0)
+                    )
+                reports[var] = VariableReport(prior, posterior, derivative)
+            self._fact_reports = reports
         return self._fact_reports
 
     def fact_posteriors(self) -> Dict[Fact, VariableReport]:
         """Posterior marginals ``P(f | Γ)`` for every constraint-relevant fact.
 
-        Base scenarios differentiate the compiled constraint circuit in
-        one pass (:func:`repro.kc.differentiate.differentiate`); what-if
-        derivations use per-variable cofactor counts against the shared
-        count cache instead (their Γ was never compiled — that is the
-        point of :meth:`whatif`). Forced facts report posterior 1/0.
+        One differentiation pass of G's circuit under this scenario's pins
+        (:func:`repro.kc.differentiate.differentiate`); Γ's literals and
+        forced facts report posterior 1/0.
         """
         with self._lock:
-            if not self._forced:
-                reports = self._fact_reports_locked()
-                out = {
-                    self.pool.fact_of_var[var]: report
-                    for var, report in reports.items()
-                    if var in set(self._gamma_vars)
-                }
-            else:
-                out = self._cofactor_reports_locked()
-        return out
-
-    def _cofactor_reports_locked(self) -> Dict[Fact, VariableReport]:
-        p_gamma = self.gamma_probability
-        out: Dict[Fact, VariableReport] = {}
-        interesting = sorted(set(self._gamma_vars) | set(self._forced))
-        for var in interesting:
-            fact = self.pool.fact_of_var[var]
-            prior = self.pool.probabilities[var]
-            forced = self._forced.get(var)
-            if forced is not None:
-                out[fact] = VariableReport(
-                    prior=prior,
-                    posterior=1.0 if forced else 0.0,
-                    derivative=0.0,
-                )
-                continue
-            high = self._count_locked(restrict(self.gamma_expr, {var: True}))
-            low = self._count_locked(restrict(self.gamma_expr, {var: False}))
-            posterior = min(prior * high / p_gamma, 1.0)
-            check_probability(posterior, context="cofactor fact posterior")
-            out[fact] = VariableReport(
-                prior=prior, posterior=posterior, derivative=high - low
-            )
-        return out
+            reports = self._fact_reports_locked()
+        return {self.pool.fact_of_var[var]: report for var, report in reports.items()}
 
     # -- top-k worlds ----------------------------------------------------------
 
@@ -585,29 +581,23 @@ class ConditionedScenario:
         :meth:`world_facts`); all other facts are marginalized out, so the
         candidates' posteriors sum to at most 1 over the full enumeration.
         """
+        literals = self._family.literals
         with self._lock:
-            circuit = self._compiled_locked()
-            free = [var for var in self._gamma_vars if var not in self._forced]
-            probabilities = {
-                var: self.pool.probabilities[var] for var in free
-            }
-            explanations = top_k_models(circuit, probabilities, k)
+            weights = self._weights()
+            free = {var: weights[var] for var in self._world_vars if var not in literals}
+            # Forced facts weigh 1/0: every world takes their value at factor 1.
+            explanations = top_k_models(self._family.circuit, free, k)
         out: List[WorldCandidate] = []
         for explanation in explanations:
             world = {
                 self.pool.fact_of_var[var]: value
-                for var, value in explanation.assignment.items()
+                for var, value in {**explanation.assignment, **literals}.items()
             }
-            for var, value in self._forced.items():
-                world[self.pool.fact_of_var[var]] = value
-            posterior = min(explanation.probability / self.gamma_probability, 1.0)
+            probability = self._prior_factor * explanation.probability
+            posterior = min(probability / self.gamma_probability, 1.0)
             check_probability(posterior, context="top-k world posterior")
             out.append(
-                WorldCandidate(
-                    world=world,
-                    probability=explanation.probability,
-                    posterior=posterior,
-                )
+                WorldCandidate(world=world, probability=probability, posterior=posterior)
             )
         return out
 
@@ -616,16 +606,18 @@ class ConditionedScenario:
     def whatif(self, force: Mapping[Union[str, Fact], bool]) -> "ConditionedScenario":
         """Derive the scenario with facts forced in (True) or out (False).
 
-        Incremental re-conditioning: the forced literals are cofactored
-        out of Γ with the kernel's memoized restriction — no recompile —
-        and the derived scenario shares this one's pool, count cache and
-        lock. Forcing an impossible state (an absent fact in, a certain
-        fact out, or evidence contradicting Γ) raises
-        :class:`InconsistentConstraints`.
+        Incremental re-conditioning by re-weighting: the forced facts join
+        the pins, and ``P(Γ | F)`` is one evaluation of the family's
+        circuit — no recompile. The derived scenario shares this one's
+        pool, circuit and lock. Forcing an impossible state (an absent fact
+        in, a certain fact out, a fact against a Γ literal, or evidence
+        contradicting Γ) raises :class:`InconsistentConstraints`.
         """
+        contradiction = InconsistentConstraints(
+            f"forcing {dict(force)!r} contradicts the constraints"
+        )
         with self._lock:
-            assignment: Dict[int, bool] = {}
-            merged = dict(self._forced)
+            forced = dict(self._forced)
             for spec, value in force.items():
                 fact = (
                     spec
@@ -645,42 +637,16 @@ class ConditionedScenario:
                 if not value and probability <= 0.0:
                     continue  # already impossible: forcing it out is vacuous
                 var = self.pool.variable(fact, probability)
-                if merged.get(var, value) != value:
+                if forced.get(var, value) != value:
                     raise InconsistentConstraints(
                         f"fact {fact!r} forced both in and out"
                     )
-                assignment[var] = value
-                merged[var] = value
-            gamma2 = restrict(self.gamma_expr, assignment) if assignment else self.gamma_expr
-            if self._root._compiled_gamma is not None:
-                # The base circuit is already compiled: one linear
-                # evaluation under the pinned measure beats a DPLL count
-                # of the cofactored Γ.
-                probabilities = self._probability_map()
-                for var, value in merged.items():
-                    probabilities[var] = 1.0 if value else 0.0
-                p2 = self._root._compiled_locked().wmc(probabilities)
-            else:
-                p2 = self._count_locked(gamma2)
-        if p2 <= 0.0:
-            raise InconsistentConstraints(
-                f"forcing {dict(force)!r} contradicts the constraints"
-            )
-        derived = ConditionedScenario(
-            self.pdb,
-            self.constraints,
-            pool=self.pool,
-            gamma_expr=gamma2,
-            gamma_probability=p2,
-            gamma_vars=tuple(
-                sorted(set(gamma2.variables()) | set(merged))
-            ),
-            forced=merged,
-            counts=self._counts,
-            lock=self._lock,
-            db_fingerprint=self.db_fingerprint,
-        )
-        derived._root = self._root
+                if self._family.literals.get(var, value) != value:
+                    raise contradiction
+                forced[var] = value
+            derived = ConditionedScenario(self._family, forced)
+        if derived.gamma_probability <= 0.0:
+            raise contradiction
         return derived
 
     def forced_fingerprint(self) -> str:

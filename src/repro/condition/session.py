@@ -20,7 +20,7 @@ protocol:
   :class:`StaleScenarioError` (the conditional answers would silently mix
   old evidence with new data otherwise). Clients re-install.
 * **What-if derivations.** ``derived()`` memoizes
-  :meth:`~repro.condition.core.ConditionedScenario.whatif` cofactors in
+  :meth:`~repro.condition.core.ConditionedScenario.whatif` derivations in
   the same LRU, keyed by the base scenario plus a canonical force
   fingerprint.
 
@@ -271,11 +271,12 @@ class ScenarioManager:
     ) -> ConditionedScenario:
         """A what-if derivation of an installed scenario, memoized.
 
-        The cofactor itself is cheap (that is the point of
-        :meth:`~repro.condition.core.ConditionedScenario.whatif`), but a
-        repeated what-if re-uses the derived scenario's count cache and
-        compiled circuit, so derivations are cached under the base
-        scenario's id plus a canonical force fingerprint.
+        Deriving is cheap — one evaluation of the family's circuit (that
+        is the point of
+        :meth:`~repro.condition.core.ConditionedScenario.whatif`) — but a
+        repeated what-if re-uses the derived scenario's differentiation
+        pass, so derivations are cached under the base scenario's id plus
+        a canonical force fingerprint.
         """
         base = self.resolve(scenario_id, specs=specs)
         if not force:

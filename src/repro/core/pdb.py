@@ -357,17 +357,13 @@ class ProbabilisticDatabase:
         stats.counters.update(
             kernel_unique_nodes=counted.kernel_unique_nodes,
             kernel_intern_hits=counted.kernel_intern_hits,
-            cofactor_memo_hits=counted.cofactor_memo_hits,
-            cofactor_memo_misses=counted.cofactor_memo_misses,
         )
-        kernel = f"{counted.cofactor_memo_hits} cofactor-memo hits"
         if counted.path == "clause":
             stats.counters.update(
                 clause_expansions=counted.shannon_expansions,
                 clause_or_splits=counted.or_splits,
                 clause_cache_hits=counted.cache_hits,
             )
-            kernel = "kernel bypassed: no cofactor-memo hits"
         return QueryAnswer(
             result.probability,
             Method.DPLL,
@@ -376,7 +372,7 @@ class ProbabilisticDatabase:
                 f"grounded: {n} lineage variables, "
                 f"{counted.path} path: {counted.shannon_expansions} Shannon "
                 f"expansions, {counted.or_splits} or-splits, "
-                f"{counted.cache_hits} cache hits, {kernel}"
+                f"{counted.cache_hits} cache hits"
             ),
         )
 

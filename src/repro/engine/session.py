@@ -61,7 +61,6 @@ from ..core.pdb import (
     QueryAnswer,
     explain_answer,
 )
-from ..booleans.kernel import clear_kernel_memos
 from ..core.tid import TupleIndependentDatabase
 from ..lineage.build import lineage_of
 from ..logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
@@ -295,16 +294,13 @@ class EngineSession:
         Not needed after ordinary mutations — the content-digest keys
         handle those — but useful to release memory or after out-of-band
         changes when ``tid.touch()`` was forgotten. Releasing memory really works:
-        the Boolean kernel's memo tables (pure caches, shared
-        process-wide) are cleared alongside the session cache, and the
-        kernel's unique table holds expressions only weakly, so the
-        dropped lineages and circuits become collectable.
+        the Boolean kernel's unique table holds expressions only weakly, so
+        the dropped lineages and circuits become collectable.
         """
         self.cache.clear()
-        clear_kernel_memos()
         if sanitize_enabled():
-            # The kernel just shed its memo strong references: a good
-            # moment to cross-check the surviving unique-table entries.
+            # The session just dropped its lineages: a good moment to
+            # cross-check the surviving unique-table entries.
             audit_kernel()
 
     def cache_info(self) -> object:

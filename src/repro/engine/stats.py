@@ -75,8 +75,8 @@ class QueryStats:
     """Where one query's evaluation spent its time, and how it was served.
 
     ``counters`` carries route-specific integer counters — notably the
-    hash-consing kernel's unique-table size and intern/cofactor-memo
-    traffic filled in by the grounded (DPLL) route.
+    hash-consing kernel's unique-table size and intern traffic filled in
+    by the grounded (DPLL) route.
     """
 
     route: str = ""
@@ -124,7 +124,7 @@ class QueryStats:
         return " ".join(parts)
 
     def counter_summary(self) -> str:
-        """One line: ``kernel_unique_nodes=42 cofactor_memo_hits=7 ...``."""
+        """One line: ``kernel_intern_hits=7 kernel_unique_nodes=42 ...``."""
         return " ".join(
             f"{name}={value}" for name, value in sorted(self.counters.items())
         )

@@ -117,6 +117,19 @@ class Circuit:
     def literal(self, var: int, positive: bool = True) -> int:
         return self._intern(("l", var, positive), Literal(var, positive))
 
+    def negated(self) -> "Circuit":
+        """The complement of a circuit of decision nodes: the same DAG with
+        its two leaves swapped (each world follows exactly one path)."""
+        swap = {FALSE_LEAF: TRUE_LEAF, TRUE_LEAF: FALSE_LEAF}
+        out = Circuit(root=swap.get(self.root, self.root))
+        for node in self.nodes[2:]:
+            if not isinstance(node, Decision):
+                raise ValueError("only a circuit of decision nodes negates by its leaves")
+            out.nodes.append(
+                Decision(node.var, swap.get(node.lo, node.lo), swap.get(node.hi, node.hi))
+            )
+        return out
+
     # -- structure ----------------------------------------------------------
 
     def reachable(self, root: Optional[int] = None) -> list[int]:

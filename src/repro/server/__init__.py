@@ -19,8 +19,8 @@ Four cooperating pieces:
 
 Conditioning rides the same protocol: ``op: condition`` installs a
 constraint set as a server-side scenario (compiled once), queries naming
-a ``scenario`` answer ``P(Q | Γ)``, and ``force`` derives what-if
-cofactors — see :mod:`repro.condition`.
+a ``scenario`` answer ``P(Q | Γ)``, and ``force`` derives what-ifs by
+pinning the forced facts — see :mod:`repro.condition`.
 
 See docs/api.md ("Serving", "Conditioning & what-if") for the protocol
 and guarantee catalog.

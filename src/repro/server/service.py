@@ -35,7 +35,7 @@ answered ``bad_request`` (HTTP 400 on the shim), then the connection closes.
 through the evaluator (in processes mode, on the scenario's ring owner)
 and the front door's :class:`~repro.condition.session.ScenarioManager`
 records its specs; queries naming a ``scenario`` answer ``P(Q | Γ)``, with
-``force`` deriving a what-if cofactor. Every such query ships the specs,
+``force`` deriving a what-if (pinned evidence). Every such query ships the specs,
 so a respawned worker re-installs transparently.
 
 All shared containers in this module are confined to the event-loop

@@ -26,8 +26,7 @@ is an int bitmask, ``X:=0`` drops the clauses with X, ``X:=1`` clears X's bit
 and drops what became subsumed, the cache is keyed by the set of masks, and
 variable-disjoint groups are found by union-find. Its trace has decision
 nodes only; without the or-split it branches inside the narrowest group
-first, so the trace of F₁ ∨ F₂ grows as |F₁| + |F₂|. Anything else, and every
-run sharing an ``external_cache`` (keyed by kernel node ids), runs the
+first, so the trace of F₁ ∨ F₂ grows as |F₁| + |F₂|. Anything else runs the
 general loop over hash-consed formulas.
 """
 
@@ -55,16 +54,15 @@ class DPLLBudgetExceeded(RuntimeError):
 class DPLLStatistics:
     """Counters describing one run of the counter.
 
-    ``path`` is ``"clause"`` (positive-DNF bitmasks) or ``"general"``; the
-    ``kernel_intern_hits`` and ``cofactor_memo_*`` fields describe the
-    general loop only. They are deltas of the hash-consing kernel's
-    *thread-local* counters over the run: a run executes on one thread, so
-    the deltas attribute interning and cofactor-memo traffic to this query
-    alone even while other serving threads evaluate other queries
-    concurrently (the memo tables themselves stay shared — a hit counted
-    here may have been seeded by another query, which is the point).
+    ``path`` is ``"clause"`` (positive-DNF bitmasks) or ``"general"``.
+    ``kernel_intern_hits`` is the delta of the hash-consing kernel's
+    *thread-local* intern counter over the run: a run executes on one
+    thread, so it counts this query's interning alone even while other
+    serving threads evaluate other queries concurrently.
     ``kernel_unique_nodes`` is the process-wide unique-table size at the
-    end of the run.
+    end of the run. The kernel keeps no cofactor memo, so
+    ``cofactor_memo_hits`` / ``cofactor_memo_misses`` always read 0; they
+    stay because ``perfbench/tracing.py`` reads them.
     """
 
     path: str = "general"
@@ -112,7 +110,12 @@ def independent_or(values: Sequence[float]) -> float:
 
 def positive_dnf_clauses(expr: BExpr) -> Optional[list[list[int]]]:
     """The clauses of *expr* as variable lists when it is a positive DNF (a
-    variable, a conjunction of variables, or a disjunction of those)."""
+    variable, a conjunction of variables, or a disjunction of those; TRUE is
+    the empty clause and FALSE no clause)."""
+    if expr is B_FALSE:
+        return []
+    if expr is B_TRUE:
+        return [[]]
     clauses: list[list[int]] = []
     for part in expr.parts if isinstance(expr, BOr) else (expr,):
         literals = part.parts if isinstance(part, BAnd) else (part,)
@@ -171,27 +174,15 @@ class DPLLCounter:
     use_components: bool = True
     variable_order: Optional[Sequence[int]] = None
     record_trace: bool = False
-    #: When set, ``run`` reads and extends this mapping instead of a fresh
-    #: per-run dict, so counts of shared subformulas persist across runs.
-    #: Only sound while the weights stay fixed (node ids identify formulas,
-    #: not their probabilities) and with ``record_trace=False`` (trace node
-    #: ids are circuit-local). The conditioning layer uses this to count a
-    #: constraint circuit once and amortize it over every posterior query.
-    external_cache: Optional[dict] = None
 
     def run(
         self, expr: BExpr, probabilities: Mapping[int, float], budget: float = math.inf
     ) -> DPLLResult:
         """Compute P(expr) under independent tuple probabilities."""
-        if self.external_cache is not None and self.record_trace:
-            raise ValueError(
-                "external_cache entries carry no trace nodes; "
-                "disable record_trace to share counts across runs"
-            )
         statistics = DPLLStatistics()
         kernel_before = kernel_statistics()
         circuit = Circuit() if self.record_trace else None
-        dnf = positive_dnf_clauses(expr) if self.external_cache is None else None
+        dnf = positive_dnf_clauses(expr)
         if dnf is not None:
             statistics.path = "clause"
             probability, root = self._count_clauses(dnf, probabilities, statistics, circuit, budget)
@@ -211,12 +202,6 @@ class DPLLCounter:
         statistics.kernel_unique_nodes = kernel_after.unique_nodes
         statistics.kernel_intern_hits = (
             kernel_after.intern_hits - kernel_before.intern_hits
-        )
-        statistics.cofactor_memo_hits = (
-            kernel_after.cofactor_hits - kernel_before.cofactor_hits
-        )
-        statistics.cofactor_memo_misses = (
-            kernel_after.cofactor_misses - kernel_before.cofactor_misses
         )
         return DPLLResult(probability, statistics, circuit)
 
@@ -292,7 +277,7 @@ class DPLLCounter:
                 cache[clauses] = result
             return result
 
-        return count(frozenset(reduce(or_, (bit_of[v] for v in clause)) for clause in dnf))
+        return count(frozenset(reduce(or_, (bit_of[v] for v in clause), 0) for clause in dnf))
 
     def _count_formula(
         self, expr: BExpr, probabilities: Mapping[int, float], or_split: bool,
@@ -303,7 +288,7 @@ class DPLLCounter:
         branches exactly as the pre-kernel counter did, which is what the
         kernel's bit-for-bit regression test relies on."""
         stats = statistics if statistics is not None else DPLLStatistics()
-        cache = self.external_cache if self.external_cache is not None else {}
+        cache: dict[int, tuple[float, int]] = {}
         or_split = or_split and self.use_components
         ordered = self.variable_order is not None
         rank = self._rank()

@@ -180,27 +180,9 @@ def test_unique_table_releases_dead_expressions():
     assert len(DEFAULT_MANAGER.unique) <= grown - 3 * 64
 
 
-def test_memo_tables_are_size_capped():
-    # memo tables keep strong references, so they are cleared wholesale at
-    # memo_limit instead of growing without bound (clearing is sound: the
-    # memos are pure caches)
-    from repro.booleans.kernel import DEFAULT_MANAGER
-
-    old_limit = DEFAULT_MANAGER.memo_limit
-    DEFAULT_MANAGER.memo_limit = 8
-    try:
-        for i in range(40):
-            f = bor(bvar(80_000 + i), bvar(81_000 + i))
-            low, high = cofactors(f, 80_000 + i)
-            assert low is bvar(81_000 + i) and high is B_TRUE
-            assert len(DEFAULT_MANAGER.cofactor_memo) <= 8
-    finally:
-        DEFAULT_MANAGER.memo_limit = old_limit
-
-
 def test_kernel_counters_are_thread_local():
-    # another thread's interning and memo traffic must not leak into this
-    # thread's counters (per-query stats deltas rely on this)
+    # another thread's interning must not leak into this thread's
+    # counters (per-query stats deltas rely on this)
     from repro.booleans.kernel import kernel_statistics
 
     def churn():
@@ -213,7 +195,6 @@ def test_kernel_counters_are_thread_local():
     worker.join()
     after = kernel_statistics()
     assert after.intern_misses == before.intern_misses
-    assert after.cofactor_misses == before.cofactor_misses
     # while the shared tables did absorb the worker's nodes
     assert after.unique_nodes > before.unique_nodes
 
@@ -303,6 +284,24 @@ def test_dnf_size_guard():
     parts = [bor(bvar(2 * i), bvar(2 * i + 1)) for i in range(20)]
     with pytest.raises(FormSizeExceeded):
         to_dnf(BAnd.of(parts), max_clauses=1000)
+
+
+def test_dnf_size_guard_raises_before_expanding(monkeypatch):
+    # a negation-free form's clause count is the product/sum of its parts'
+    # counts, so the guard fires before any cross product is built
+    from repro.booleans import forms
+
+    combined = []
+    monkeypatch.setattr(forms, "_contradictory", lambda clause: combined.append(clause))
+    parts = [bor(bvar(3 * i), bvar(3 * i + 1), bvar(3 * i + 2)) for i in range(12)]
+    with pytest.raises(FormSizeExceeded):
+        to_dnf(BAnd.of(parts))
+    assert combined == []
+    # the bound is exact: 3 × 3 clauses fit in 9 and not in 8
+    two = BAnd.of(parts[:2])
+    assert len(to_dnf(two, max_clauses=9)) == 9
+    with pytest.raises(FormSizeExceeded):
+        to_dnf(two, max_clauses=8)
 
 
 def test_dnf_occurrence_counts():

@@ -26,12 +26,13 @@ from repro.condition import (
     scenario_id_of,
 )
 from repro.condition.core import _parse_fact
-from repro.core.pdb import ProbabilisticDatabase
+from repro.core.pdb import Method, ProbabilisticDatabase
 from repro.engine.session import EngineSession
 from repro.logic.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.logic.semantics import satisfies
 from repro.obs import MetricsRegistry
 from repro.server import ServerClient, ServerConfig, ServerThread
+from repro.wmc.dpll import DPLLCounter
 
 TOL = 1e-9
 
@@ -231,7 +232,8 @@ def test_fact_posteriors_match_brute_force(pdb, specs):
     value=st.booleans(),
 )
 def test_derived_fact_posteriors_match_brute_force(pdb, specs, fact_spec, value):
-    """The cofactor-count path (what-if derivations) agrees too."""
+    """What-if derivations differentiate the family's circuit under their
+    pins; their per-fact posteriors agree too."""
     _, gamma_mass = brute_conditioned(pdb, specs)
     if gamma_mass <= 0.0:  # prodb-lint: exact
         return
@@ -369,6 +371,71 @@ def test_manager_install_on_miss_verifies_the_id():
 def test_unsatisfiable_constraints_raise():
     with pytest.raises(InconsistentConstraints):
         ConditionedScenario.compile(_pdb(), ["+R(1)", "-R(1)"])
+
+
+# -- the pinned path ----------------------------------------------------------
+
+
+def _wide_pdb() -> ProbabilisticDatabase:
+    pdb = _pdb()
+    pdb.add_fact("S", (2, 4), 0.3)
+    pdb.add_fact("T", (4,), 0.45)
+    pdb.add_fact("U", (1,), 0.35)
+    pdb.add_fact("U", (2,), 0.55)
+    pdb.add_fact("V", (1, 5), 0.25)
+    pdb.add_fact("V", (2, 5), 0.65)
+    pdb.add_fact("V", (2, 6), 0.15)
+    return pdb
+
+
+PINNED_GAMMAS = {
+    "literals+ucq": (["+R(1)", "-T(4)", "R(x), S(x,y) | S(u,v), T(v)"], True),
+    "literal+forbid": (["+S(2,3)", "!R(x), S(x,y), T(y)"], False),
+}
+
+
+@pytest.mark.parametrize("specs, correlated", PINNED_GAMMAS.values(), ids=PINNED_GAMMAS.keys())
+def test_pinned_scenarios_never_enter_the_general_loop(monkeypatch, specs, correlated):
+    """Γ's literals and the what-if evidence are pins, and one positive (or
+    one negated positive) query constraint is counted on the clause path:
+    no step of a pinned scenario reaches DPLL's general loop."""
+    entered = []
+    general_loop = DPLLCounter._count_formula
+
+    def spy(self, *args, **kwargs):
+        entered.append(args[0])
+        return general_loop(self, *args, **kwargs)
+
+    monkeypatch.setattr(DPLLCounter, "_count_formula", spy)
+    pdb = _wide_pdb()
+    manager = ScenarioManager(pdb, registry=MetricsRegistry())
+    sid, scenario = manager.install(specs)
+    _, gamma_mass = brute_conditioned(pdb, specs)
+    assert abs(scenario.gamma_probability - gamma_mass) <= TOL
+    joint, _ = brute_conditioned(pdb, specs, "S(1,3)")
+    assert abs(scenario.posterior("S(1,3)").probability - joint / gamma_mass) <= TOL
+    force = {"R(2)": True}
+    joint, forced_mass = brute_conditioned(pdb, specs, "S(2,3)", force=force)
+    derived = manager.derived(sid, force)
+    assert abs(derived.posterior("S(2,3)").probability - joint / forced_mass) <= TOL
+    assert scenario.fact_posteriors() and scenario.top_k_worlds(3)
+    if correlated:
+        joint, _ = brute_conditioned(pdb, specs, "R(x), S(x,y)")
+        answer = scenario.posterior("R(x), S(x,y)")
+        assert abs(answer.probability - joint / gamma_mass) <= TOL
+    assert entered == []
+
+
+def test_independent_query_posterior_is_its_prior():
+    """A query sharing no fact with Γ is independent of it: its posterior
+    is its DPLL probability."""
+    pdb = _wide_pdb()
+    query = "U(x), V(x,y)"
+    prior = pdb.probability(query, Method.DPLL).probability
+    for specs, _ in PINNED_GAMMAS.values():
+        scenario = ConditionedScenario.compile(pdb, specs)
+        posterior = scenario.posterior(query).probability
+        assert abs(posterior - prior) <= 1e-15 * prior
 
 
 # -- server round-trip --------------------------------------------------------

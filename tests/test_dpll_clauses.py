@@ -101,12 +101,3 @@ def test_or_split_is_never_recorded():
     assert counted.statistics.or_splits > 0 and traced.statistics.or_splits == 0
     assert abs(counted.probability - traced.probability) <= TOLERANCE
     assert traced.circuit.check_decision_dnnf()
-
-
-def test_external_cache_keeps_the_general_loop():
-    expr = bor(band(bvar(0), bvar(1)), bvar(2))
-    p = {0: 0.2, 1: 0.7, 2: 0.4}
-    shared: dict = {}
-    result = DPLLCounter(external_cache=shared).run(expr, p)
-    assert result.statistics.path == "general" and shared
-    assert abs(result.probability - brute_force_wmc(expr, p)) <= TOLERANCE

@@ -189,8 +189,6 @@ def test_cli_query_stats_kernel_counters(csv_dir, capsys):
     out = capsys.readouterr().out
     assert "kernel" in out
     assert "kernel_unique_nodes=" in out
-    assert "cofactor_memo_hits=" in out
-    assert "cofactor-memo hits" in out  # detail line mentions the memo too
 
 
 def test_cli_query_seed_reproducible(csv_dir, capsys):

@@ -12,6 +12,11 @@ Run as::
 Pass ``--workers N`` to smoke the multi-process mode instead: N worker
 processes attached to shared-memory shards, with per-worker liveness on
 ``/healthz`` and ``server_worker_*`` gauges on ``/metrics``.
+
+The served conditioned and what-if answers must equal an in-process
+:class:`~repro.condition.ConditionedScenario` over the same facts to 1e-12,
+so the pinned conditioning path is checked across the server (and, with
+``--workers``, the worker pickle boundary).
 """
 
 from __future__ import annotations
@@ -23,6 +28,35 @@ import sys
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+#: Γ for the conditioning round-trip: a fact literal and a query constraint.
+GAMMA = ['+R("a1")', "R(x), S(x,y)"]
+
+#: Served and in-process conditioned answers must agree this closely.
+TOLERANCE = 1e-12
+
+
+def database():
+    """Figure 1's database plus two grounded (non-hierarchical) shapes for
+    the DPLL call budget: a 59-variable path A–B–C that DPLL counts in a
+    few hundred calls, and a complete 24-variable D–E–F whose ≈360 calls
+    pass the budget at ε = 50."""
+    from repro.workloads.generators import figure1_database
+
+    tid = figure1_database()
+    for i in range(15):
+        tid.add_fact("A", (i,), 0.5)
+        tid.add_fact("C", (i,), 0.6)
+        tid.add_fact("B", (i, i), 0.7)
+        if i:
+            tid.add_fact("B", (i, i - 1), 0.4)
+    for i in range(4):
+        tid.add_fact("D", (i,), 0.5)
+        tid.add_fact("F", (i,), 0.6)
+        for j in range(4):
+            tid.add_fact("E", (i, j), 0.7)
+    return tid
 
 
 def main() -> None:
@@ -37,25 +71,12 @@ def main() -> None:
     args = parser.parse_args()
     pooled = args.workers > 0
 
+    from repro.condition import ConditionedScenario
     from repro.engine.session import EngineSession
     from repro.server import ServerClient, ServerConfig, ServerThread, http_get
-    from repro.workloads.generators import figure1_database
 
-    session = EngineSession(figure1_database(), seed=7)
-    # Two grounded (non-hierarchical) shapes for the DPLL call budget: a
-    # 59-variable path A–B–C that DPLL counts in a few hundred calls, and a
-    # complete 24-variable D–E–F whose ≈360 calls pass the budget at ε = 50.
-    for i in range(15):
-        session.add_fact("A", (i,), 0.5)
-        session.add_fact("C", (i,), 0.6)
-        session.add_fact("B", (i, i), 0.7)
-        if i:
-            session.add_fact("B", (i, i - 1), 0.4)
-    for i in range(4):
-        session.add_fact("D", (i,), 0.5)
-        session.add_fact("F", (i,), 0.6)
-        for j in range(4):
-            session.add_fact("E", (i, j), 0.7)
+    session = EngineSession(database(), seed=7)
+    reference = ConditionedScenario.compile(database(), GAMMA)
     # Use the process-default registry so the scrape also shows the engine
     # counters SessionStats publishes (the smoke runs in its own process).
     config = ServerConfig(
@@ -117,7 +138,7 @@ def main() -> None:
             print(f"  bad request rejected: {bad['message']}")
 
             # 4. Conditioning: install Γ, query through it, what-if, drop.
-            installed = client.condition(['+R("a1")', "R(x), S(x,y)"])
+            installed = client.condition(GAMMA)
             if not installed.get("ok"):
                 fail(f"condition install failed: {installed}")
             sid = installed["scenario"]
@@ -127,17 +148,22 @@ def main() -> None:
             conditioned = client.query('R("a2")', scenario=sid)
             if not conditioned.get("ok") or conditioned.get("scenario") != sid:
                 fail(f"conditioned query failed: {conditioned}")
+            expected = reference.posterior('R("a2")').probability
+            if abs(conditioned["probability"] - expected) > TOLERANCE:
+                fail(f"conditioned answer {conditioned} != in-process {expected!r}")
             print(
                 f"  conditioned: P(R(a2)|Γ)={conditioned['probability']:.6f} "
                 f"P(Γ)={conditioned.get('gamma_probability', 0):.6f} "
-                f"[{conditioned['method']}]"
+                f"[{conditioned['method']}], in-process agrees"
             )
-            whatif = client.query(
-                'R("a2")', scenario=sid, force={'S("a1","b1")': True}
-            )
+            force = {'S("a1","b1")': True}
+            whatif = client.query('R("a2")', scenario=sid, force=force)
             if not whatif.get("ok"):
                 fail(f"what-if query failed: {whatif}")
-            print(f"  what-if (cofactor): P={whatif['probability']:.6f}")
+            expected = reference.whatif(force).posterior('R("a2")').probability
+            if abs(whatif["probability"] - expected) > TOLERANCE:
+                fail(f"what-if answer {whatif} != in-process {expected!r}")
+            print(f"  what-if (pinned): P={whatif['probability']:.6f}, in-process agrees")
             missing = client.query('R("a2")', scenario="s" + "f" * 16)
             if missing.get("ok") or missing.get("error") != "unknown_scenario":
                 fail(f"unknown scenario must yield unknown_scenario: {missing}")

@@ -39,8 +39,8 @@ def hierarchical_rows(sizes=(2, 4, 6, 8, 10)):
             (
                 n,
                 lineage.variable_count,
-                good[0].size(good[1]),
-                bad[0].size(bad[1]),
+                good[0].circuit.size(good[1]),
+                bad[0].circuit.size(bad[1]),
             )
         )
     return rows
@@ -58,7 +58,9 @@ def hard_rows(sizes=(2, 3, 4, 5, 6)):
             if n <= 2
             else "-"
         )
-        rows.append((n, lineage.variable_count, manager.size(root), f"{bound:.1f}", exhaustive))
+        rows.append(
+            (n, lineage.variable_count, manager.circuit.size(root), f"{bound:.1f}", exhaustive)
+        )
     return rows
 
 
@@ -97,7 +99,7 @@ def test_e08_compile_hierarchical_good_order(benchmark):
 
     def run():
         manager, root = compile_obdd(lineage.expr, order)
-        return manager.size(root)
+        return manager.circuit.size(root)
 
     assert benchmark(run) > 0
 
@@ -109,7 +111,7 @@ def test_e08_compile_nonhierarchical(benchmark):
 
     def run():
         manager, root = compile_obdd(lineage.expr)
-        return manager.size(root)
+        return manager.circuit.size(root)
 
     assert benchmark(run) > 0
 

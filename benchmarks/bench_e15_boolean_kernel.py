@@ -90,10 +90,10 @@ def obdd_recompile(domain_size: int = 4, repeats: int = 20):
         interned_root = interned_manager.from_expr(expr)
     interned_time = time.perf_counter() - start
 
-    assert legacy_manager.size(legacy_root) == interned_manager.size(interned_root)
+    assert legacy_manager.circuit.size(legacy_root) == interned_manager.circuit.size(interned_root)
     probabilities = lineage.probabilities()
-    assert legacy_manager.wmc(legacy_root, probabilities) == interned_manager.wmc(
-        interned_root, probabilities
+    assert legacy_manager.circuit.wmc(probabilities, legacy_root) == interned_manager.circuit.wmc(
+        probabilities, interned_root
     )
     ratio = legacy_time / interned_time if interned_time > 0 else float("inf")
     rows = [

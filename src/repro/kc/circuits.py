@@ -10,14 +10,20 @@ The node types follow Sec. 7 of the paper:
   (d-DNNF); negation leaves complete the d-DNNF language.
 
 Circuits are DAGs stored in a :class:`Circuit` arena; node ids are ints.
-Weighted model counting over a valid circuit is a single bottom-up pass.
+Every constructor gives a new node a larger id than its children, so the
+arena is a topological order: :meth:`Circuit.reachable` lists a root's
+nodes children first, and every pass — weighted model counting,
+evaluation, the validity checks, and the differentiation, MPE and OBDD
+passes built on them — is one loop over that list. OBDDs
+(:mod:`repro.kc.obdd`) keep their nodes here too, as decision nodes.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 FALSE_LEAF = 0
 TRUE_LEAF = 1
@@ -132,22 +138,7 @@ class Circuit:
 
     # -- structure ----------------------------------------------------------
 
-    def reachable(self, root: Optional[int] = None) -> list[int]:
-        """Ids of nodes reachable from the root (leaves excluded)."""
-        start = self.root if root is None else root
-        seen: set[int] = set()
-        stack = [start]
-        order: list[int] = []
-        while stack:
-            node_id = stack.pop()
-            if node_id in seen or node_id in (FALSE_LEAF, TRUE_LEAF):
-                continue
-            seen.add(node_id)
-            order.append(node_id)
-            stack.extend(self._children(node_id))
-        return order
-
-    def _children(self, node_id: int) -> tuple[int, ...]:
+    def children(self, node_id: int) -> tuple[int, ...]:
         node = self.nodes[node_id]
         if isinstance(node, Decision):
             return (node.lo, node.hi)
@@ -155,12 +146,60 @@ class Circuit:
             return node.children
         return ()
 
+    def reachable(self, root: Optional[int] = None) -> list[int]:
+        """Ids of the internal nodes reachable from the root, ascending.
+
+        Children have smaller ids than their parents, so one sweep down
+        from the root marks every reachable node, and ascending ids list
+        children before parents.
+        """
+        start = self.root if root is None else root
+        marked = bytearray(start + 1)
+        marked[start] = 1
+        for node_id in range(start, TRUE_LEAF, -1):
+            if marked[node_id]:
+                # `children` inlined: every pass starts with this sweep.
+                node = self.nodes[node_id]
+                if isinstance(node, Decision):
+                    marked[node.lo] = marked[node.hi] = 1
+                elif not isinstance(node, Literal):
+                    for child in node.children:
+                        marked[child] = 1
+        first = TRUE_LEAF + 1
+        return list(itertools.compress(range(first, start + 1), marked[first:]))
+
+    def scopes(
+        self, root: Optional[int] = None
+    ) -> Iterator[tuple[int, dict[int, frozenset[int]]]]:
+        """Visit the reachable nodes children first, yielding each id with a
+        map that holds the variables tested below it and below its children.
+
+        A node's set leaves the map once its last parent has been visited,
+        so a chain of *n* decisions holds a few sets at a time, not *n*.
+        """
+        order = self.reachable(root)
+        parents = Counter(child for node_id in order for child in self.children(node_id))
+        below: dict[int, frozenset[int]] = {FALSE_LEAF: frozenset(), TRUE_LEAF: frozenset()}
+        for node_id in order:
+            node = self.nodes[node_id]
+            if isinstance(node, Decision):
+                below[node_id] = frozenset({node.var}) | below[node.lo] | below[node.hi]
+            elif isinstance(node, Literal):
+                below[node_id] = frozenset({node.var})
+            else:
+                below[node_id] = frozenset().union(*(below[c] for c in node.children))
+            yield node_id, below
+            for child in self.children(node_id):
+                parents[child] -= 1
+                if parents[child] == 0 and child > TRUE_LEAF:
+                    del below[child]
+
     def size(self, root: Optional[int] = None) -> int:
         """Number of internal nodes reachable from the root."""
         return len(self.reachable(root))
 
     def edge_count(self, root: Optional[int] = None) -> int:
-        return sum(len(self._children(i)) for i in self.reachable(root))
+        return sum(len(self.children(i)) for i in self.reachable(root))
 
     def variables(self, root: Optional[int] = None) -> frozenset[int]:
         out: set[int] = set()
@@ -172,57 +211,23 @@ class Circuit:
                 out.add(node.var)
         return frozenset(out)
 
-    def _vars_below(self, root: int, memo: dict[int, frozenset[int]]) -> frozenset[int]:
-        if root in (FALSE_LEAF, TRUE_LEAF):
-            return frozenset()
-        cached = memo.get(root)
-        if cached is not None:
-            return cached
-        node = self.nodes[root]
-        if isinstance(node, Literal):
-            result = frozenset({node.var})
-        elif isinstance(node, Decision):
-            result = (
-                frozenset({node.var})
-                | self._vars_below(node.lo, memo)
-                | self._vars_below(node.hi, memo)
-            )
-        else:
-            result = frozenset().union(
-                *(self._vars_below(c, memo) for c in node.children)
-            )
-        memo[root] = result
-        return result
-
     # -- semantics ----------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[int, bool], root: Optional[int] = None) -> bool:
         """Evaluate the circuit under a total assignment."""
         start = self.root if root is None else root
-        memo: dict[int, bool] = {}
-
-        def walk(node_id: int) -> bool:
-            if node_id == TRUE_LEAF:
-                return True
-            if node_id == FALSE_LEAF:
-                return False
-            if node_id in memo:
-                return memo[node_id]
+        value = {FALSE_LEAF: False, TRUE_LEAF: True}
+        for node_id in self.reachable(start):
             node = self.nodes[node_id]
             if isinstance(node, Decision):
-                result = walk(node.hi if assignment[node.var] else node.lo)
+                value[node_id] = value[node.hi] if assignment[node.var] else value[node.lo]
             elif isinstance(node, AndNode):
-                result = all(walk(c) for c in node.children)
+                value[node_id] = all(value[c] for c in node.children)
             elif isinstance(node, OrNode):
-                result = any(walk(c) for c in node.children)
-            elif isinstance(node, Literal):
-                result = assignment[node.var] == node.positive
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown node {node!r}")
-            memo[node_id] = result
-            return result
-
-        return walk(start)
+                value[node_id] = any(value[c] for c in node.children)
+            else:
+                value[node_id] = assignment[node.var] == node.positive
+        return value[start]
 
     def wmc(self, probabilities: Mapping[int, float], root: Optional[int] = None) -> float:
         """Weighted model count, one bottom-up pass.
@@ -234,35 +239,23 @@ class Circuit:
         Variables not tested on a path marginalize out automatically.
         """
         start = self.root if root is None else root
-        memo: dict[int, float] = {}
-
-        def walk(node_id: int) -> float:
-            if node_id == TRUE_LEAF:
-                return 1.0
-            if node_id == FALSE_LEAF:
-                return 0.0
-            cached = memo.get(node_id)
-            if cached is not None:
-                return cached
+        value = [0.0, 1.0] + [0.0] * (start - 1)  # by id: the leaves, then nodes
+        for node_id in self.reachable(start):
             node = self.nodes[node_id]
             if isinstance(node, Decision):
                 p = probabilities[node.var]
-                result = (1.0 - p) * walk(node.lo) + p * walk(node.hi)
+                value[node_id] = (1.0 - p) * value[node.lo] + p * value[node.hi]
             elif isinstance(node, AndNode):
                 result = 1.0
                 for child in node.children:
-                    result *= walk(child)
+                    result *= value[child]
+                value[node_id] = result
             elif isinstance(node, OrNode):
-                result = sum(walk(child) for child in node.children)
-            elif isinstance(node, Literal):
+                value[node_id] = sum(value[child] for child in node.children)
+            else:
                 p = probabilities[node.var]
-                result = p if node.positive else 1.0 - p
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown node {node!r}")
-            memo[node_id] = result
-            return result
-
-        return walk(start)
+                value[node_id] = p if node.positive else 1.0 - p
+        return value[start]
 
     def model_count(self, variables: Iterable[int], root: Optional[int] = None) -> float:
         """Unweighted model count over the given variable universe."""
@@ -278,35 +271,26 @@ class Circuit:
         Uses the sufficient (and for our constructions, necessary) check that
         a decision variable does not reappear below either branch.
         """
-        start = self.root if root is None else root
-        memo: dict[int, frozenset[int]] = {}
-        for node_id in self.reachable(start):
+        for node_id, below in self.scopes(root):
             node = self.nodes[node_id]
-            if isinstance(node, Decision):
-                below = self._vars_below(node.lo, memo) | self._vars_below(
-                    node.hi, memo
-                )
-                if node.var in below:
-                    return False
+            if isinstance(node, Decision) and (
+                node.var in below[node.lo] or node.var in below[node.hi]
+            ):
+                return False
         return True
 
     def check_decision_dnnf(self, root: Optional[int] = None) -> bool:
         """FBDD property plus: ∧-children have pairwise disjoint variables."""
-        start = self.root if root is None else root
-        if not self.check_fbdd(start):
-            return False
-        memo: dict[int, frozenset[int]] = {}
-        for node_id in self.reachable(start):
+        for node_id, below in self.scopes(root):
             node = self.nodes[node_id]
             if isinstance(node, OrNode):
                 return False  # decision-DNNFs have no free ∨ nodes
-            if isinstance(node, AndNode):
-                seen: set[int] = set()
-                for child in node.children:
-                    below = self._vars_below(child, memo)
-                    if below & seen:
-                        return False
-                    seen.update(below)
+            if isinstance(node, Decision) and (
+                node.var in below[node.lo] or node.var in below[node.hi]
+            ):
+                return False
+            if isinstance(node, AndNode) and not _disjoint(below, node.children):
+                return False
         return True
 
     def check_d_dnnf(self, root: Optional[int] = None) -> bool:
@@ -316,19 +300,12 @@ class Circuit:
         assignments over the node's variables, so this check is only suitable
         for small circuits (tests, Fig. 2 reproductions).
         """
-        start = self.root if root is None else root
-        memo: dict[int, frozenset[int]] = {}
-        for node_id in self.reachable(start):
+        for node_id, below in self.scopes(root):
             node = self.nodes[node_id]
-            if isinstance(node, AndNode):
-                seen: set[int] = set()
-                for child in node.children:
-                    below = self._vars_below(child, memo)
-                    if below & seen:
-                        return False
-                    seen.update(below)
-            elif isinstance(node, OrNode):
-                variables = sorted(self._vars_below(node_id, memo))
+            if isinstance(node, AndNode) and not _disjoint(below, node.children):
+                return False
+            if isinstance(node, OrNode):
+                variables = sorted(below[node_id])
                 for bits in itertools.product((False, True), repeat=len(variables)):
                     assignment = dict(zip(variables, bits))
                     true_children = sum(
@@ -339,3 +316,13 @@ class Circuit:
                     if true_children > 1:
                         return False
         return True
+
+
+def _disjoint(below: Mapping[int, frozenset[int]], children: Iterable[int]) -> bool:
+    """Whether the children's variable sets are pairwise disjoint."""
+    seen: set[int] = set()
+    for child in children:
+        if below[child] & seen:
+            return False
+        seen.update(below[child])
+    return True

@@ -59,7 +59,7 @@ def differentiate(
     start = circuit.root if root is None else root
 
     # upward pass: value(n) = probability of the sub-circuit
-    order = _topological(circuit, start)
+    order = circuit.reachable(start)
     value: dict[int, float] = {TRUE_LEAF: 1.0, FALSE_LEAF: 0.0}
     for node_id in order:
         node = circuit.nodes[node_id]
@@ -155,35 +155,19 @@ def _tested_mass(
     p: float,
     total: float,
 ) -> float:
-    """P(F restricted to paths that test *var*).
+    """P(F) restricted to the paths that test *var*.
 
-    On those paths P = P(F ∧ X) + P(F ∧ ¬X); P(F ∧ ¬X) on tested paths is
-    joint_false = joint − p·∂ over... Derived algebraically: the tested
-    portion satisfies tested = joint + joint_false where
-    joint_false = (joint/p − ∂)·(1−p) when p > 0, using
-    ∂ = value(hi) − value(lo) aggregated. For p ∈ {0, 1} fall back to the
-    tested-joint directly.
+    Summed over the decision nodes m testing *var*, with δ(m) = ∂P(F)/∂
+    value(m), the downward pass accumulated ``joint`` = p·Σ δ·value(hi)
+    and ∂ = Σ δ·(value(hi) − value(lo)). So Σ δ·value(hi) = joint/p,
+    Σ δ·value(lo) = joint/p − ∂, and the tested mass is their mix
+    p·Σ δ·value(hi) + (1−p)·Σ δ·value(lo). At p = 0 the hi sum is unknown,
+    but the caller weighs the untested rest by p, so ``joint`` (= 0) does.
     """
-    d = derivative.get(var, 0.0)
     if p <= 0.0:
-        return joint - d * p + 0.0  # joint = 0 here; tested mass = joint_false
+        return joint
+    d = derivative.get(var, 0.0)
     high_mass = joint / p  # Σ δ·value(hi) over testing nodes
     low_mass = high_mass - d  # Σ δ·value(lo)
     return p * high_mass + (1.0 - p) * low_mass
 
-
-def _topological(circuit: Circuit, root: int) -> list[int]:
-    """Children-before-parents order of internal nodes reachable from root."""
-    seen: set[int] = set()
-    order: list[int] = []
-
-    def visit(node_id: int) -> None:
-        if node_id in seen or node_id in (FALSE_LEAF, TRUE_LEAF):
-            return
-        seen.add(node_id)
-        for child in circuit._children(node_id):
-            visit(child)
-        order.append(node_id)
-
-    visit(root)
-    return order

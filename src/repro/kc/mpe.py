@@ -12,6 +12,12 @@ that fixes X pays its chosen value. The maximization below normalizes every
 comparison to the union scope by multiplying in the mode probabilities of
 the missing variables, which is exactly what circuit smoothing would do.
 
+Every pass is a loop over the circuit's nodes in id order, children first
+(:meth:`~repro.kc.circuits.Circuit.reachable`): the (max, ×) pass keeps
+each node's best value and branch, and the assignment is decoded once,
+top-down from the root. :func:`top_k_models` runs one such loop per
+restricted-satisfiability test.
+
 Typical use: "what is the single most likely database state in which the
 risk query is true?" — the explanation companion to
 :mod:`repro.kc.differentiate`.
@@ -23,7 +29,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .circuits import AndNode, Circuit, Decision, FALSE_LEAF, Literal, OrNode, TRUE_LEAF
+from .circuits import AndNode, Circuit, Decision, FALSE_LEAF, OrNode, TRUE_LEAF
 
 
 @dataclass(frozen=True)
@@ -45,10 +51,6 @@ def most_probable_model(
     ValueError when the circuit is unsatisfiable.
     """
     start = circuit.root if root is None else root
-    scope_memo: dict[int, frozenset[int]] = {}
-
-    def scope(node_id: int) -> frozenset[int]:
-        return circuit._vars_below(node_id, scope_memo)
 
     def mode_product(variables: frozenset[int]) -> float:
         product = 1.0
@@ -57,70 +59,66 @@ def most_probable_model(
             product *= max(p, 1.0 - p)
         return product
 
-    # best[node] = (max probability over the node's scope, partial assignment)
-    best: dict[int, Optional[tuple[float, dict[int, bool]]]] = {
-        TRUE_LEAF: (1.0, {}),
-        FALSE_LEAF: None,
-    }
-
-    def solve(node_id: int) -> Optional[tuple[float, dict[int, bool]]]:
-        if node_id in best:
-            return best[node_id]
+    # best[n]: max probability over n's scope (None: unsatisfiable);
+    # branch[n]: the child a decision or ∨ node takes to reach it.
+    best: dict[int, Optional[float]] = {TRUE_LEAF: 1.0, FALSE_LEAF: None}
+    branch: dict[int, int] = {}
+    below: dict[int, frozenset[int]] = {}
+    for node_id, below in circuit.scopes(start):
         node = circuit.nodes[node_id]
-        result: Optional[tuple[float, dict[int, bool]]]
+        result: Optional[float] = None
         if isinstance(node, Decision):
             p = probabilities[node.var]
-            node_scope = scope(node_id) - {node.var}
-            candidates = []
-            lo = solve(node.lo)
+            node_scope = below[node_id] - {node.var}
+            lo, hi = best[node.lo], best[node.hi]
             if lo is not None:
-                fill = mode_product(node_scope - scope(node.lo))
-                candidates.append(
-                    ((1.0 - p) * lo[0] * fill, {**lo[1], node.var: False})
-                )
-            hi = solve(node.hi)
+                result = (1.0 - p) * lo * mode_product(node_scope - below[node.lo])
+                branch[node_id] = node.lo
             if hi is not None:
-                fill = mode_product(node_scope - scope(node.hi))
-                candidates.append((p * hi[0] * fill, {**hi[1], node.var: True}))
-            result = max(candidates, key=lambda c: c[0]) if candidates else None
+                candidate = p * hi * mode_product(node_scope - below[node.hi])
+                if result is None or candidate > result:
+                    result, branch[node_id] = candidate, node.hi
         elif isinstance(node, AndNode):
-            probability = 1.0
-            combined: dict[int, bool] = {}
-            result = (1.0, {})
+            result = 1.0
             for child in node.children:
-                sub = solve(child)
+                sub = best[child]
                 if sub is None:
                     result = None
                     break
-                probability *= sub[0]
-                combined.update(sub[1])
-            else:
-                result = (probability, combined)
+                result *= sub
         elif isinstance(node, OrNode):
-            node_scope = scope(node_id)
-            candidates = []
             for child in node.children:
-                sub = solve(child)
+                sub = best[child]
                 if sub is None:
                     continue
-                fill = mode_product(node_scope - scope(child))
-                candidates.append((sub[0] * fill, sub[1]))
-            result = max(candidates, key=lambda c: c[0]) if candidates else None
-        elif isinstance(node, Literal):
+                candidate = sub * mode_product(below[node_id] - below[child])
+                if result is None or candidate > result:
+                    result, branch[node_id] = candidate, child
+        else:
             p = probabilities[node.var]
-            value = node.positive
-            result = (p if value else 1.0 - p, {node.var: value})
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown node {node!r}")
+            result = p if node.positive else 1.0 - p
         best[node_id] = result
-        return result
 
-    top = solve(start)
-    if top is None:
+    probability = best[start]
+    if probability is None:
         raise ValueError("circuit is unsatisfiable; no explanation exists")
-    probability, partial = top
-    assignment = dict(partial)
-    root_scope = scope(start)
+    # Decode once, top-down along the chosen branches.
+    assignment: dict[int, bool] = {}
+    chosen = {start}
+    for node_id in reversed(circuit.reachable(start)):
+        if node_id not in chosen:
+            continue
+        node = circuit.nodes[node_id]
+        if isinstance(node, Decision):
+            assignment[node.var] = branch[node_id] == node.hi
+            chosen.add(branch[node_id])
+        elif isinstance(node, OrNode):
+            chosen.add(branch[node_id])
+        elif isinstance(node, AndNode):
+            chosen.update(node.children)
+        else:
+            assignment[node.var] = node.positive
+    root_scope = below.get(start, frozenset())
     for var, p in probabilities.items():
         if var not in assignment:
             choice = p >= 0.5
@@ -163,35 +161,7 @@ def top_k_models(
     if start == FALSE_LEAF:
         return []
     order = sorted(probabilities, key=lambda v: -abs(probabilities[v] - 0.5))
-
-    def satisfiable(assignment: dict[int, bool]) -> bool:
-        """SAT of the circuit under a partial assignment, one O(|C|) pass."""
-        memo: dict[int, bool] = {TRUE_LEAF: True, FALSE_LEAF: False}
-
-        def walk(node_id: int) -> bool:
-            cached = memo.get(node_id)
-            if cached is not None:
-                return cached
-            node = circuit.nodes[node_id]
-            if isinstance(node, Decision):
-                fixed = assignment.get(node.var)
-                if fixed is None:
-                    result = walk(node.lo) or walk(node.hi)
-                else:
-                    result = walk(node.hi) if fixed else walk(node.lo)
-            elif isinstance(node, AndNode):
-                result = all(walk(child) for child in node.children)
-            elif isinstance(node, OrNode):
-                result = any(walk(child) for child in node.children)
-            elif isinstance(node, Literal):
-                fixed = assignment.get(node.var)
-                result = fixed is None or fixed == node.positive
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown node {node!r}")
-            memo[node_id] = result
-            return result
-
-        return walk(start)
+    ids = circuit.reachable(start)
 
     # Suffix mode products: bound contribution of variables order[i:].
     suffix = [1.0] * (len(order) + 1)
@@ -199,18 +169,21 @@ def top_k_models(
         p = probabilities[order[i]]
         suffix[i] = suffix[i + 1] * max(p, 1.0 - p)
 
-    # Heap of (-bound, tiebreak, depth, chosen-product, assignment);
-    # the tiebreak keeps the heap total-ordered without comparing dicts,
-    # and carrying the chosen-product avoids dividing it back out of the
-    # bound (no float drift against exact world probabilities).
+    # Heap of (-bound, -depth, tiebreak, chosen-product, assignment).
+    # Among equal bounds the deepest state pops first, so ties (uniform
+    # priors) search depth-first instead of expanding every level; the
+    # tiebreak keeps the heap total-ordered without comparing dicts, and
+    # carrying the chosen-product avoids dividing it back out of the bound
+    # (no float drift against exact world probabilities).
     counter = 0
     heap: list[tuple[float, int, int, float, dict[int, bool]]] = []
     empty: dict[int, bool] = {}
-    if satisfiable(empty):
-        heap.append((-suffix[0], counter, 0, 1.0, empty))
+    if _satisfiable(circuit, start, ids, empty):
+        heap.append((-suffix[0], 0, counter, 1.0, empty))
     out: list[Explanation] = []
     while heap and len(out) < k:
-        negbound, _, depth, chosen, assignment = heapq.heappop(heap)
+        _, negdepth, _, chosen, assignment = heapq.heappop(heap)
+        depth = -negdepth
         if depth == len(order):
             out.append(Explanation(dict(assignment), chosen))
             continue
@@ -223,8 +196,32 @@ def top_k_models(
                 continue
             child = dict(assignment)
             child[var] = value
-            if not satisfiable(child):
+            if not _satisfiable(circuit, start, ids, child):
                 continue
             counter += 1
-            heapq.heappush(heap, (-bound, counter, depth + 1, picked, child))
+            heapq.heappush(heap, (-bound, -depth - 1, counter, picked, child))
     return out
+
+
+def _satisfiable(
+    circuit: Circuit, root: int, ids: list[int], assignment: Mapping[int, bool]
+) -> bool:
+    """SAT of the circuit under a partial assignment: one loop over *ids*,
+    the nodes reachable from *root* children first."""
+    sat = {FALSE_LEAF: False, TRUE_LEAF: True}
+    for node_id in ids:
+        node = circuit.nodes[node_id]
+        if isinstance(node, Decision):
+            fixed = assignment.get(node.var)
+            if fixed is None:
+                sat[node_id] = sat[node.lo] or sat[node.hi]
+            else:
+                sat[node_id] = sat[node.hi] if fixed else sat[node.lo]
+        elif isinstance(node, AndNode):
+            sat[node_id] = all(sat[child] for child in node.children)
+        elif isinstance(node, OrNode):
+            sat[node_id] = any(sat[child] for child in node.children)
+        else:
+            fixed = assignment.get(node.var)
+            sat[node_id] = fixed is None or fixed == node.positive
+    return sat[root]

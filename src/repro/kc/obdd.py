@@ -1,10 +1,13 @@
 """A classic reduced Ordered Binary Decision Diagram (OBDD) package.
 
-Nodes live in a manager with a fixed variable order; the unique table plus
-the lo == hi collapse make every diagram *reduced*, so node counts are the
-canonical sizes that Theorem 7.1(i) talks about: linear in the domain for
-hierarchical self-join-free CQs under the right order, and ≥ (2ⁿ − 1)/n for
-non-hierarchical ones under *every* order.
+A manager fixes a variable order and builds its diagrams as decision nodes
+of one :class:`~repro.kc.circuits.Circuit`, ``manager.circuit``: the
+circuit's unique table plus the lo == hi collapse make every diagram
+*reduced*, so node counts are the canonical sizes that Theorem 7.1(i)
+talks about: linear in the domain for hierarchical self-join-free CQs
+under the right order, and ≥ (2ⁿ − 1)/n for non-hierarchical ones under
+*every* order. Sizes, weighted counts and evaluation are the circuit's
+own passes (``manager.circuit.size(root)``, ``.wmc(p, root)``, ...).
 
 Construction from a Boolean expression uses the standard ``apply`` algorithm
 with memoization.
@@ -13,13 +16,14 @@ with memoization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..booleans.expr import BAnd, BExpr, BFalse, BNot, BOr, BTrue, BVar
 from ..sanitize import check_obdd
+from .circuits import FALSE_LEAF, TRUE_LEAF, Circuit
 
-FALSE_NODE = 0
-TRUE_NODE = 1
+FALSE_NODE = FALSE_LEAF
+TRUE_NODE = TRUE_LEAF
 
 
 @dataclass
@@ -27,10 +31,8 @@ class OBDD:
     """An OBDD manager over a fixed variable order."""
 
     order: tuple[int, ...]
+    circuit: Circuit = field(init=False, repr=False)
     _level_of: dict[int, int] = field(init=False, repr=False)
-    # nodes[i] = (level, lo, hi); entries 0 and 1 are terminal placeholders.
-    _nodes: list[tuple[int, int, int]] = field(init=False, repr=False)
-    _unique: dict[tuple[int, int, int], int] = field(init=False, repr=False)
     _apply_cache: dict[tuple, int] = field(init=False, repr=False)
     _expr_cache: dict[int, int] = field(init=False, repr=False)
 
@@ -38,10 +40,8 @@ class OBDD:
         self.order = tuple(self.order)
         if len(set(self.order)) != len(self.order):
             raise ValueError("variable order contains duplicates")
+        self.circuit = Circuit()
         self._level_of = {v: i for i, v in enumerate(self.order)}
-        terminal = (len(self.order), -1, -1)
-        self._nodes = [terminal, terminal]
-        self._unique = {}
         self._apply_cache = {}
         self._expr_cache = {}
 
@@ -50,31 +50,19 @@ class OBDD:
     def level_of(self, var: int) -> int:
         return self._level_of[var]
 
-    def var_at(self, level: int) -> int:
-        return self.order[level]
-
     def make(self, level: int, lo: int, hi: int) -> int:
-        """The reduced node (level, lo, hi)."""
-        if lo == hi:
-            return lo
-        key = (level, lo, hi)
-        existing = self._unique.get(key)
-        if existing is not None:
-            return existing
-        self._nodes.append(key)
-        index = len(self._nodes) - 1
-        self._unique[key] = index
-        return index
+        """The reduced node testing the variable at *level*."""
+        return self.circuit.decision(self.order[level], lo, hi)
 
     def variable(self, var: int) -> int:
         """The single-variable diagram for *var*."""
         return self.make(self._level_of[var], FALSE_NODE, TRUE_NODE)
 
-    def node(self, index: int) -> tuple[int, int, int]:
-        return self._nodes[index]
-
-    def is_terminal(self, index: int) -> bool:
-        return index in (FALSE_NODE, TRUE_NODE)
+    def _level(self, index: int) -> int:
+        """The level of a node; the leaves sit below every variable."""
+        if index in (FALSE_NODE, TRUE_NODE):
+            return len(self.order)
+        return self._level_of[self.circuit.nodes[index].var]
 
     # -- boolean operations ---------------------------------------------------
 
@@ -85,18 +73,15 @@ class OBDD:
         cached = self._apply_cache.get(cache_key)
         if cached is not None:
             return cached
-        if self.is_terminal(f) and self.is_terminal(g):
+        leaves = (FALSE_NODE, TRUE_NODE)
+        if f in leaves and g in leaves:
             result = TRUE_NODE if op(f == TRUE_NODE, g == TRUE_NODE) else FALSE_NODE
         else:
-            f_level = self._nodes[f][0]
-            g_level = self._nodes[g][0]
+            nodes = self.circuit.nodes
+            f_level, g_level = self._level(f), self._level(g)
             level = min(f_level, g_level)
-            f_lo, f_hi = (
-                (self._nodes[f][1], self._nodes[f][2]) if f_level == level else (f, f)
-            )
-            g_lo, g_hi = (
-                (self._nodes[g][1], self._nodes[g][2]) if g_level == level else (g, g)
-            )
+            f_lo, f_hi = (nodes[f].lo, nodes[f].hi) if f_level == level else (f, f)
+            g_lo, g_hi = (nodes[g].lo, nodes[g].hi) if g_level == level else (g, g)
             result = self.make(
                 level, self.apply(op, f_lo, g_lo), self.apply(op, f_hi, g_hi)
             )
@@ -110,19 +95,17 @@ class OBDD:
         return self.apply(_or, f, g)
 
     def negate(self, f: int) -> int:
+        """The complement of *f*: one loop over its nodes, children first."""
         cache_key = ("neg", f)
         cached = self._apply_cache.get(cache_key)
         if cached is not None:
             return cached
-        if f == TRUE_NODE:
-            result = FALSE_NODE
-        elif f == FALSE_NODE:
-            result = TRUE_NODE
-        else:
-            level, lo, hi = self._nodes[f]
-            result = self.make(level, self.negate(lo), self.negate(hi))
-        self._apply_cache[cache_key] = result
-        return result
+        flipped = {FALSE_NODE: TRUE_NODE, TRUE_NODE: FALSE_NODE}
+        for index in self.circuit.reachable(f):
+            node = self.circuit.nodes[index]
+            flipped[index] = self.circuit.decision(node.var, flipped[node.lo], flipped[node.hi])
+        self._apply_cache[cache_key] = flipped[f]
+        return flipped[f]
 
     def from_expr(self, expr: BExpr) -> int:
         """Compile a Boolean expression into a diagram root.
@@ -159,56 +142,6 @@ class OBDD:
         self._expr_cache[expr.nid] = result
         return result
 
-    # -- analysis -------------------------------------------------------------
-
-    def reachable(self, root: int) -> list[int]:
-        """Internal nodes reachable from *root*."""
-        seen: set[int] = set()
-        stack = [root]
-        order: list[int] = []
-        while stack:
-            index = stack.pop()
-            if index in seen or self.is_terminal(index):
-                continue
-            seen.add(index)
-            order.append(index)
-            _, lo, hi = self._nodes[index]
-            stack.append(lo)
-            stack.append(hi)
-        return order
-
-    def size(self, root: int) -> int:
-        """Number of internal (decision) nodes reachable from *root*."""
-        return len(self.reachable(root))
-
-    def wmc(self, root: int, probabilities: Mapping[int, float]) -> float:
-        """Weighted model count: the probability the diagram is true."""
-        memo: dict[int, float] = {TRUE_NODE: 1.0, FALSE_NODE: 0.0}
-
-        def walk(index: int) -> float:
-            cached = memo.get(index)
-            if cached is not None:
-                return cached
-            level, lo, hi = self._nodes[index]
-            p = probabilities[self.order[level]]
-            result = (1.0 - p) * walk(lo) + p * walk(hi)
-            memo[index] = result
-            return result
-
-        return walk(root)
-
-    def model_count(self, root: int) -> int:
-        """Satisfying assignments over the manager's full variable universe."""
-        half = {v: 0.5 for v in self.order}
-        return round(self.wmc(root, half) * (2 ** len(self.order)))
-
-    def evaluate(self, root: int, assignment: Mapping[int, bool]) -> bool:
-        index = root
-        while not self.is_terminal(index):
-            level, lo, hi = self._nodes[index]
-            index = hi if assignment[self.order[level]] else lo
-        return index == TRUE_NODE
-
 
 def _and(a: bool, b: bool) -> bool:
     return a and b
@@ -239,8 +172,8 @@ def best_obdd_size(expr: BExpr, orders: Sequence[Sequence[int]]) -> int:
     """The minimum OBDD size over a set of candidate orders."""
     best: Optional[int] = None
     for order in orders:
-        _, root = (pair := compile_obdd(expr, order))
-        size = pair[0].size(root)
+        manager, root = compile_obdd(expr, order)
+        size = manager.circuit.size(root)
         if best is None or size < best:
             best = size
     if best is None:

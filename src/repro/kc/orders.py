@@ -95,7 +95,7 @@ def exhaustive_minimum_size(expr: BExpr, variables: Sequence[int]) -> int:
         best[S] = min over x ∈ S of  best[S ∖ x] + #{cofactors over S ∖ x that depend on x}
 
     and ``best[variables]`` equals the internal-node count
-    :meth:`repro.kc.obdd.OBDD.size` reports for the best order. Cofactors are
+    ``manager.circuit.size(root)`` reports for the best order. Cofactors are
     truth tables held as 2ⁿ-bit integers; the work is still exponential in
     n, but 8 variables take milliseconds where the n! sweep took seconds.
     """

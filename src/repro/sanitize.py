@@ -12,7 +12,8 @@ production paths pay one attribute read. Enable it either way:
 What is audited when enabled:
 
 * **circuit well-formedness** — every circuit recorded by the DPLL counter
-  is re-checked against its target language (FBDD: no repeated decision on
+  numbers each node after its children (the arena order every pass walks)
+  and is re-checked against its target language (FBDD: no repeated decision on
   a path; decision-DNNF: additionally independent ∧; d-DNNF: additionally
   deterministic ∨, checked semantically and therefore only on small
   circuits);
@@ -149,6 +150,13 @@ def check_circuit(circuit: Any, kind: str = "decision-dnnf") -> None:
     """
     if not _enabled or circuit is None:
         return
+    for index in range(len(circuit.nodes)):
+        later = [child for child in circuit.children(index) if child >= index]
+        if later:
+            raise CircuitInvariantError(
+                f"circuit node {index} has children {later} at or after its own "
+                "id: the arena is not children-first"
+            )
     if circuit.size() > MAX_AUDIT_NODES:
         return
     if kind == "fbdd":
@@ -173,18 +181,20 @@ def check_obdd(manager: Any, root: int) -> None:
     """Audit one OBDD root: levels strictly increase along every edge."""
     if not _enabled:
         return
-    terminal_level = len(manager.order)
-    for index in manager.reachable(root):
-        level, lo, hi = manager.node(index)
-        for child in (lo, hi):
-            child_level = (
-                terminal_level if manager.is_terminal(child) else manager.node(child)[0]
-            )
-            if child_level <= level:
+    nodes = manager.circuit.nodes
+
+    def level(index: int) -> int:
+        node = nodes[index]
+        return len(manager.order) if node is None else manager.level_of(node.var)
+
+    for index in manager.circuit.reachable(root):
+        node = nodes[index]
+        for child in (node.lo, node.hi):
+            if level(child) <= level(index):
                 raise OrderViolationError(
-                    f"OBDD node {index} (level {level}, variable "
-                    f"{manager.var_at(level)}) has child {child} at level "
-                    f"{child_level}: variable order not respected"
+                    f"OBDD node {index} (level {level(index)}, variable "
+                    f"{node.var}) has child {child} at level "
+                    f"{level(child)}: variable order not respected"
                 )
 
 

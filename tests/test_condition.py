@@ -281,6 +281,65 @@ def test_top_k_worlds_match_enumeration(pdb, specs, k):
     assert posteriors == sorted(posteriors, reverse=True)
 
 
+def _uniform_cycle(m: int) -> ProbabilisticDatabase:
+    """R(i), T(i), S(i, i) and S(i, i+1 mod m) for i < m, all at p = 0.5:
+    under Γ = R(x), S(x,y), T(y) every fact is relevant (4m variables)
+    and every Γ-world is equally likely, so every A* bound ties."""
+    pdb = ProbabilisticDatabase(seed=5)
+    for i in range(m):
+        pdb.add_fact("R", (i,), 0.5)
+        pdb.add_fact("T", (i,), 0.5)
+        pdb.add_fact("S", (i, i), 0.5)
+        pdb.add_fact("S", (i, (i + 1) % m), 0.5)
+    return pdb
+
+
+def test_top_k_worlds_with_tied_bounds_search_depth_first(monkeypatch):
+    """Equal bounds pop deepest first, so k worlds cost O(k·n)
+    restricted-satisfiability passes rather than a breadth-first sweep."""
+    from repro.kc import mpe
+
+    k = 3
+    scenario = ConditionedScenario.compile(_uniform_cycle(25), ["R(x), S(x,y), T(y)"])
+    n = len(scenario.world_facts())
+    assert n == 100
+    passes = []
+    satisfiable = mpe._satisfiable
+
+    def spy(*args):
+        passes.append(args)
+        assert len(passes) <= 2 * k * (n + 1), "satisfiability passes grew past O(k·n)"
+        return satisfiable(*args)
+
+    monkeypatch.setattr(mpe, "_satisfiable", spy)
+    candidates = scenario.top_k_worlds(k)
+    assert len(candidates) == k
+    assert len({frozenset(c.world.items()) for c in candidates}) == k
+
+    # 16 variables: every Γ-world's posterior is 1 / #Γ-worlds, by enumeration.
+    small = ConditionedScenario.compile(_uniform_cycle(4), ["R(x), S(x,y), T(y)"])
+    facts = small.world_facts()
+    assert len(facts) == 16
+
+    edges = [values for name, values in facts if name == "S"]
+
+    def holds(world):
+        return any(
+            world[("R", (a,))] and world[("S", (a, b))] and world[("T", (b,))]
+            for a, b in edges
+        )
+
+    models = sum(
+        holds(dict(zip(facts, bits)))
+        for bits in itertools.product((False, True), repeat=len(facts))
+    )
+    candidates = small.top_k_worlds(k)
+    assert len({frozenset(c.world.items()) for c in candidates}) == k
+    for candidate in candidates:
+        assert holds(candidate.world)
+        assert abs(candidate.posterior - 1 / models) <= 1e-12 / models
+
+
 # -- scenario manager ---------------------------------------------------------
 
 

@@ -58,7 +58,7 @@ def test_cq_engines_agree(seed, text):
     assert close(DPLLCounter().run(lineage.expr, probabilities).probability, reference)
 
     manager, root = compile_obdd(lineage.expr)
-    assert close(manager.wmc(root, probabilities), reference)
+    assert close(manager.circuit.wmc(probabilities, root), reference)
 
     trace = compile_decision_dnnf(lineage.expr, probabilities)
     assert close(trace.probability, reference)

@@ -160,8 +160,8 @@ def test_fig2b_wmc():
 def test_obdd_variable_and_negate():
     manager = OBDD((0, 1))
     v = manager.variable(0)
-    assert manager.evaluate(v, {0: True, 1: False})
-    assert not manager.evaluate(manager.negate(v), {0: True, 1: False})
+    assert manager.circuit.evaluate({0: True, 1: False}, v)
+    assert not manager.circuit.evaluate({0: True, 1: False}, manager.negate(v))
 
 
 def test_obdd_semantics_random():
@@ -173,27 +173,27 @@ def test_obdd_semantics_random():
         f = bor(band(literals[0], literals[1]), band(literals[2], literals[3]))
         manager, root = compile_obdd(f)
         for a in assignments(4):
-            assert manager.evaluate(root, a) == evaluate(f, a)
+            assert manager.circuit.evaluate(a, root) == evaluate(f, a)
 
 
 def test_obdd_reduction_canonical():
     # x ∨ (x ∧ y) reduces to just x: one node
     f = bor(bvar(0), band(bvar(0), bvar(1)))
     manager, root = compile_obdd(f, order=[0, 1])
-    assert manager.size(root) == 1
+    assert manager.circuit.size(root) == 1
 
 
 def test_obdd_wmc():
     f = bor(band(bvar(0), bvar(1)), bvar(2))
     p = {0: 0.5, 1: 0.3, 2: 0.8}
     manager, root = compile_obdd(f)
-    assert close(manager.wmc(root, p), brute_force_wmc(f, p))
+    assert close(manager.circuit.wmc(p, root), brute_force_wmc(f, p))
 
 
 def test_obdd_model_count():
     f = bor(bvar(0), bvar(1))
     manager, root = compile_obdd(f)
-    assert manager.model_count(root) == 3
+    assert manager.circuit.model_count(manager.order, root) == 3
 
 
 def test_obdd_rejects_duplicate_order():
@@ -215,7 +215,7 @@ def test_hierarchical_order_linear_size():
     lin = lineage_of_cq(query, db)
     manager, root = compile_obdd(lin.expr, hierarchical_order(query, lin))
     # linear in the number of lineage variables
-    assert manager.size(root) <= lin.variable_count + 2
+    assert manager.circuit.size(root) <= lin.variable_count + 2
 
 
 def test_predicate_major_order_is_worse():
@@ -224,7 +224,7 @@ def test_predicate_major_order_is_worse():
     lin = lineage_of_cq(query, db)
     good = compile_obdd(lin.expr, hierarchical_order(query, lin))
     bad = compile_obdd(lin.expr, predicate_major_order(lin))
-    assert bad[0].size(bad[1]) > good[0].size(good[1])
+    assert bad[0].circuit.size(bad[1]) > good[0].circuit.size(good[1])
 
 
 def test_hierarchical_order_rejects_non_hierarchical():
@@ -261,7 +261,7 @@ def _sweep_minimum(expr, variables):
     best = None
     for order in itertools.permutations(variables):
         manager, root = compile_obdd(expr, order)
-        size = manager.size(root)
+        size = manager.circuit.size(root)
         best = size if best is None else min(best, size)
     return best
 

@@ -113,7 +113,7 @@ def test_dpll_matches_brute_force(expr, probabilities):
 @settings(max_examples=40, deadline=None)
 def test_obdd_matches_brute_force(expr, probabilities):
     manager, root = compile_obdd(expr)
-    got = manager.wmc(root, probabilities)
+    got = manager.circuit.wmc(probabilities, root)
     want = brute_force_wmc(expr, probabilities)
     assert abs(got - want) < 1e-9
 
@@ -130,7 +130,7 @@ def test_trace_is_valid_decision_dnnf(expr, probabilities):
 @settings(max_examples=60, deadline=None)
 def test_obdd_pointwise_semantics(expr, assignment):
     manager, root = compile_obdd(expr)
-    assert manager.evaluate(root, assignment) == evaluate(expr, assignment)
+    assert manager.circuit.evaluate(assignment, root) == evaluate(expr, assignment)
 
 
 @given(boolean_exprs())

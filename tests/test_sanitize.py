@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.booleans.expr import BAnd, BOr, bnot, bvar
-from repro.kc.circuits import FALSE_LEAF, TRUE_LEAF, Circuit
+from repro.kc.circuits import FALSE_LEAF, TRUE_LEAF, Circuit, Decision
 from repro.kc.obdd import FALSE_NODE, TRUE_NODE, OBDD, compile_obdd
 from repro.sanitize import (
     BoundsOrderError,
@@ -80,6 +80,18 @@ def test_nondeterministic_or_trips_d_dnnf(sanitized):
     )
     with pytest.raises(CircuitInvariantError):
         check_circuit(circuit, "d-dnnf")
+
+
+def test_child_numbered_after_its_parent_trips(sanitized):
+    # Every pass walks the arena in id order, children first; a node
+    # appended by hand that points at a later id breaks that order.
+    circuit = Circuit()
+    leaf = circuit.decision(1, FALSE_LEAF, TRUE_LEAF)
+    circuit.nodes.append(Decision(2, leaf, len(circuit.nodes) + 1))
+    circuit.nodes.append(Decision(3, FALSE_LEAF, TRUE_LEAF))
+    circuit.root = len(circuit.nodes) - 2
+    with pytest.raises(CircuitInvariantError, match="children-first"):
+        check_circuit(circuit, "fbdd")
 
 
 def test_unknown_kind_rejected(sanitized):

@@ -9,9 +9,10 @@ where weight(X₄) = 1/(w₄−1) ⇒ p = 1/w).
 
 import pytest
 
+from repro.condition import ConditionedScenario
 from repro.logic.parser import parse
 from repro.mln.mln import MarkovLogicNetwork, SoftConstraint
-from repro.mln.translate import Encoding, conditional_probability, mln_query_probability, mln_to_tid
+from repro.mln.translate import Encoding, mln_query_probability, mln_to_tid
 
 from tables import print_table
 
@@ -80,7 +81,7 @@ def erratum_rows():
             (m, e),
             Or.of((Atom("Aux0", (m, e)), parse("Manager(m,e) -> HighComp(m)"))),
         )
-        got = conditional_probability(db, sentence, gamma)
+        got = ConditionedScenario.compile(db, [str(gamma)]).posterior(sentence).probability
         rows.append((label, f"{p_aux:.4f}", f"{got:.8f}", f"{target:.8f}",
                      "ok" if abs(got - target) < 1e-9 else "off"))
     return rows

@@ -293,15 +293,6 @@ class TupleIndependentDatabase:
         """Eq. (2): the marginal of a tuple (trivially its stored probability)."""
         return self.probability_of_fact(name, values)
 
-    def sample_world(self, rng) -> frozenset[Fact]:
-        """Draw one world from the TID distribution."""
-        members = [
-            (name, values)
-            for name, values, prob in self.facts()
-            if rng.random() < prob
-        ]
-        return frozenset(members)
-
     # -- transformations -------------------------------------------------------
 
     def with_complements(self, sentence: Formula) -> "TupleIndependentDatabase":

@@ -13,7 +13,7 @@ right-associative and expands to ``~a | b``):
     or       := and ('|' and)*
     and      := unary ('&' unary)*
     unary    := '~' unary | 'true' | 'false' | atom | '(' formula ')'
-    atom     := IDENT '(' term (',' term)* ')'
+    atom     := IDENT '(' [term (',' term)*] ')'
     term     := IDENT            (a variable)
               | 'text' | "text"  (a string constant)
               | NUMBER           (an integer constant)
@@ -177,7 +177,7 @@ class _Parser:
     def atom(self) -> Atom:
         _, name, _ = self.advance()
         self.expect("(")
-        args: list[Term] = [self.term()]
+        args: list[Term] = [] if self.peek()[1] == ")" else [self.term()]
         while self.peek()[1] == ",":
             self.advance()
             args.append(self.term())

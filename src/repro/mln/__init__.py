@@ -4,7 +4,6 @@ from .mln import MarkovLogicNetwork, SoftConstraint
 from .translate import (
     Encoding,
     TIDEncoding,
-    conditional_probability,
     mln_query_probability,
     mln_query_probability_symmetric,
     mln_to_tid,
@@ -21,7 +20,6 @@ __all__ = [
     "SoftConstraint",
     "Encoding",
     "TIDEncoding",
-    "conditional_probability",
     "mln_query_probability",
     "mln_query_probability_symmetric",
     "mln_to_tid",

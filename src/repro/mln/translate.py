@@ -8,8 +8,13 @@ the constraint's free variables. Two equivalent encodings (paper appendix):
 * **iff-encoding** (works for every w > 0):
   ``p(Rᵢ) = w/(1 + w)`` and ``Γᵢ = ∀x̄ (Rᵢ(x̄) ⟺ Δ(x̄))``.
 
+A hard rule (w = ∞) gets ``p(Rᵢ) = 0`` under the or-encoding and 1 under the
+iff-encoding; either way Γᵢ forces Δ.
+
 Every original predicate's tuples get probability 1/2. Then for any query Q
-over the original vocabulary, ``p_MLN(Q) = p_D(Q | Γ)`` with Γ = ⋀ Γᵢ.
+over the original vocabulary, ``p_MLN(Q) = p_D(Q | Γ)`` with Γ = ⋀ Γᵢ, and
+``p_D(· | Γ)`` is a :class:`~repro.condition.ConditionedScenario` of the
+encoded database.
 
 The resulting probabilistic database is *symmetric* (Sec. 8), which is what
 connects MLNs to the symmetric-WFOMC algorithms.
@@ -18,13 +23,13 @@ connects MLNs to the symmetric-WFOMC algorithms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
+from ..condition.core import ConditionedScenario
 from ..core.tid import TupleIndependentDatabase
-from ..lineage.build import lineage_of_sentence
 from ..logic.formulas import And, Atom, Formula, Or, forall_many, iff
-from ..wmc.dpll import dpll_probability
 from .mln import MarkovLogicNetwork
 
 
@@ -76,7 +81,7 @@ def mln_to_tid(
             probability = 1.0 / w
             gamma_body: Formula = Or.of((aux_atom, constraint.formula))
         else:
-            probability = w / (1.0 + w)
+            probability = 1.0 if w == math.inf else w / (1.0 + w)
             gamma_body = iff(aux_atom, constraint.formula)
         for values in itertools.product(mln.domain, repeat=len(variables)):
             db.add_fact(aux_name, values, probability)
@@ -90,44 +95,24 @@ def mln_to_tid(
     )
 
 
-def conditional_probability(
-    db: TupleIndependentDatabase,
-    query: Formula,
-    constraint: Formula,
-    method: str = "dpll",
-) -> float:
-    """p_D(Q | Γ) = p_D(Q ∧ Γ) / p_D(Γ).
-
-    ``method`` is "dpll" (ground both sentences to lineage and count) or
-    "brute" (possible-world enumeration). Conditioning on constraints is how
-    TIDs express correlations (Question 3.1).
-    """
-    if method == "brute":
-        numerator = db.brute_force_probability(And.of((query, constraint)))
-        denominator = db.brute_force_probability(constraint)
-    elif method == "dpll":
-        joint = lineage_of_sentence(And.of((query, constraint)), db)
-        numerator = dpll_probability(joint.expr, joint.probabilities())
-        gamma = lineage_of_sentence(constraint, db)
-        denominator = dpll_probability(gamma.expr, gamma.probabilities())
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if denominator == 0.0:  # prodb-lint: exact -- division guard
-        raise ZeroDivisionError("constraint has probability zero")
-    return numerator / denominator
-
-
 def mln_query_probability(
     mln: MarkovLogicNetwork,
     query: Formula,
     encoding: Encoding = Encoding.OR,
-    method: str = "dpll",
 ) -> float:
-    """p_MLN(Q) computed through the TID encoding (Prop. 3.1)."""
+    """p_MLN(Q) = p_D(Q | Γ) through the TID encoding (Prop. 3.1).
+
+    The encoded database is conditioned on Γ like any other scenario
+    (:class:`~repro.condition.ConditionedScenario`); compile that scenario
+    once to ask it for more than one answer. An MLN whose constraints no
+    world satisfies (two contradictory hard rules) raises
+    :class:`~repro.condition.InconsistentConstraints`, a ``ValueError``.
+    """
     translated = mln_to_tid(mln, encoding)
-    return conditional_probability(
-        translated.database, query, translated.constraint, method=method
+    scenario = ConditionedScenario.compile(
+        translated.database, [str(translated.constraint)]
     )
+    return scenario.posterior(query).probability
 
 
 def mln_query_probability_symmetric(

@@ -1,9 +1,15 @@
 """Unit tests for repro.mln: MLN semantics, Prop. 3.1, Boolean factors."""
 
+import math
+import random
+
 import pytest
 
 from repro.booleans.expr import band, bnot, bor, bvar
+from repro.condition import ConditionedScenario, InconsistentConstraints
+from repro.logic.formulas import And, Atom
 from repro.logic.parser import parse
+from repro.logic.terms import Const
 from repro.mln.markov_network import (
     BooleanMarkovNetwork,
     Factor,
@@ -14,7 +20,6 @@ from repro.mln.markov_network import (
 from repro.mln.mln import MarkovLogicNetwork, SoftConstraint
 from repro.mln.translate import (
     Encoding,
-    conditional_probability,
     mln_query_probability,
     mln_query_probability_symmetric,
     mln_to_tid,
@@ -22,12 +27,55 @@ from repro.mln.translate import (
 
 from conftest import close
 
+INF = float("inf")
+
+
+def manager(domain=("a", "b")):
+    """The paper's Sec. 3 example: (3.9, Manager(m,e) ⇒ HighComp(m))."""
+    delta = parse("Manager(m,e) -> HighComp(m)")
+    return MarkovLogicNetwork([SoftConstraint(3.9, delta)], domain=domain)
+
+
+def two_rule():
+    return MarkovLogicNetwork(
+        [
+            SoftConstraint(2.0, parse("R(x) -> U(x)")),
+            SoftConstraint(3.0, parse("U(x)")),
+        ],
+        domain=("a", "b"),
+    )
+
+
+def closed_rule():
+    """A soft constraint with no free variables gets a 0-ary auxiliary atom."""
+    return MarkovLogicNetwork(
+        [
+            SoftConstraint(2.5, parse("exists x. R(x)")),
+            SoftConstraint(1.5, parse("R(x) -> U(x)")),
+        ],
+        domain=("a", "b"),
+    )
+
+
+def hard_rule():
+    return MarkovLogicNetwork(
+        [
+            SoftConstraint(INF, parse("R(x) -> U(x)")),
+            SoftConstraint(2.0, parse("R(x)")),
+        ],
+        domain=("a", "b"),
+    )
+
+
+def scenario(mln, encoding):
+    """The MLN's Prop. 3.1 encoding conditioned on its Γ."""
+    encoded = mln_to_tid(mln, encoding)
+    return ConditionedScenario.compile(encoded.database, [str(encoded.constraint)])
+
 
 @pytest.fixture
 def manager_mln():
-    """The paper's Sec. 3 example: (3.9, Manager(m,e) ⇒ HighComp(m))."""
-    delta = parse("Manager(m,e) -> HighComp(m)")
-    return MarkovLogicNetwork([SoftConstraint(3.9, delta)], domain=("a", "b"))
+    return manager()
 
 
 def test_soft_constraint_rejects_negative_weight():
@@ -118,29 +166,90 @@ def test_proposition_31(manager_mln, encoding, query):
 
 
 def test_conditional_probability_methods_agree(manager_mln):
+    """The scenario's posterior equals possible-world enumeration of
+    p_D(Q ∧ Γ) / p_D(Γ) on the encoded database."""
     encoded = mln_to_tid(manager_mln, Encoding.IFF)
+    db, gamma = encoded.database, encoded.constraint
     q = parse("exists m. HighComp(m)")
-    dpll = conditional_probability(encoded.database, q, encoded.constraint, "dpll")
-    brute = conditional_probability(encoded.database, q, encoded.constraint, "brute")
-    assert close(dpll, brute)
+    joint = db.brute_force_probability(And.of((q, gamma)))
+    brute = joint / db.brute_force_probability(gamma)
+    got = ConditionedScenario.compile(db, [str(gamma)]).posterior(q).probability
+    assert math.isclose(got, brute, rel_tol=1e-12)
 
 
-def test_conditional_probability_unknown_method(manager_mln):
-    encoded = mln_to_tid(manager_mln, Encoding.IFF)
-    with pytest.raises(ValueError):
-        conditional_probability(
-            encoded.database, parse("exists m. HighComp(m)"), encoded.constraint, "nope"
+MANAGER_QUERIES = ("exists m. HighComp(m)", "forall m. exists e. Manager(m,e)")
+RULE_QUERIES = ("exists x. U(x)", "U('a')", "R('a') & ~U('b')")
+
+
+@pytest.mark.parametrize("encoding", [Encoding.OR, Encoding.IFF])
+@pytest.mark.parametrize(
+    "mln, queries",
+    [
+        (manager(), MANAGER_QUERIES),
+        (manager(("a", "b", "c")), MANAGER_QUERIES),
+        (two_rule(), RULE_QUERIES),
+        (closed_rule(), RULE_QUERIES),
+        (hard_rule(), RULE_QUERIES),
+    ],
+    ids=["manager-2", "manager-3", "two-rule", "closed-rule", "hard-rule"],
+)
+def test_proposition_31_through_scenario(mln, queries, encoding):
+    """p_MLN(Q) = p_D(Q | Γ) to 1e-12 relative on every MLN shape."""
+    z = mln.partition_function()
+    for text in queries:
+        q = parse(text)
+        direct = mln.probability(q, z)
+        assert math.isclose(mln_query_probability(mln, q, encoding), direct, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("encoding", [Encoding.OR, Encoding.IFF])
+def test_contradictory_hard_rules_are_inconsistent(encoding):
+    mln = MarkovLogicNetwork(
+        [SoftConstraint(INF, parse("R(x)")), SoftConstraint(INF, parse("~R(x)"))],
+        domain=("a",),
+    )
+    with pytest.raises(InconsistentConstraints):
+        mln_query_probability(mln, parse("R('a')"), encoding)
+
+
+@pytest.mark.parametrize("mln", [manager(), two_rule()], ids=["manager", "two-rule"])
+def test_fact_posteriors_are_mln_marginals(mln):
+    """One differentiation pass gives every ground atom's p_MLN."""
+    posteriors = scenario(mln, Encoding.IFF).fact_posteriors()
+    for name, values in mln.possible_tuples():
+        atom = Atom(name, tuple(Const(v) for v in values))
+        report = posteriors[(name, values)]
+        assert math.isclose(report.posterior, mln.probability(atom), rel_tol=1e-12)
+
+
+def test_sample_posterior_within_its_guarantee(manager_mln):
+    """Karp–Luby with Γ-rejection lands within its relative ε at a fixed seed."""
+    conditioned = scenario(manager_mln, Encoding.OR)
+    for text in ("exists m. HighComp(m)", "Manager('a','b') & HighComp('a')"):
+        answer = conditioned.sample_posterior(
+            text, epsilon=0.05, delta=0.05, rng=random.Random(7)
         )
+        direct = manager_mln.probability(parse(text))
+        assert not answer.exact
+        assert abs(answer.probability - direct) <= 0.05 * direct
+
+
+def test_whatif_is_mln_conditional(manager_mln):
+    """Forcing evidence on the scenario is conditioning the MLN on it."""
+    got = (
+        scenario(manager_mln, Encoding.OR)
+        .whatif({"Manager('a','b')": True})
+        .posterior("HighComp('a')")
+        .probability
+    )
+    want = manager_mln.probability(
+        parse("Manager('a','b') & HighComp('a')")
+    ) / manager_mln.probability(parse("Manager('a','b')"))
+    assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_multi_constraint_mln():
-    mln = MarkovLogicNetwork(
-        [
-            SoftConstraint(2.0, parse("R(x) -> U(x)")),
-            SoftConstraint(3.0, parse("U(x)")),
-        ],
-        domain=("a", "b"),
-    )
+    mln = two_rule()
     q = parse("exists x. U(x)")
     direct = mln.probability(q)
     via = mln_query_probability(mln, q, Encoding.IFF)

@@ -16,7 +16,7 @@ from repro.logic.parser import parse
 from repro.logic.terms import Const, Var
 
 VARIABLES = [Var("x"), Var("y"), Var("z")]
-PREDICATES = [("R", 1), ("S", 2), ("T", 1)]
+PREDICATES = [("P", 0), ("R", 1), ("S", 2), ("T", 1)]
 
 
 @st.composite

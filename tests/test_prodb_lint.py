@@ -285,15 +285,11 @@ def test_pl004_scoped_to_benchmarks_and_samplers(tmp_path):
         tmp_path,
         {
             "src/repro/mln/x.py": "import random\nrng = random.Random()\n",
-            "src/repro/mln/sampling.py": "import random\nrng = random.Random()\n",
             "src/repro/wmc/sampling.py": "import random\nrng = random.Random()\n",
         },
     )
     findings = lint(root, "src", select={"PL004"})
-    assert sorted(f.path for f in findings) == [
-        "src/repro/mln/sampling.py",
-        "src/repro/wmc/sampling.py",
-    ]
+    assert sorted(f.path for f in findings) == ["src/repro/wmc/sampling.py"]
 
 
 # -- PL005: __all__ consistency with docs/api.md -----------------------------

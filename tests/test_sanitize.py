@@ -168,16 +168,19 @@ class _FakeManager:
 
 
 def test_kernel_audit_passes_on_live_kernel(sanitized):
-    BAnd.of((bvar(0), bnot(bvar(1))))  # ensure the table is non-trivial
+    # The unique table holds nodes weakly: the audit counts only live ones.
+    live = BAnd.of((bvar(0), bnot(bvar(1))))
     assert audit_kernel() >= 2
+    assert live.variables() == {0, 1}
 
 
 def test_kernel_audit_force_runs_when_disabled():
     previous = prodb_sanitize(False)
     try:
-        bvar(0)
+        live = bvar(0)  # held: the unique table keeps nodes weakly
         assert audit_kernel() == 0  # disabled: no-op
         assert audit_kernel(force=True) >= 1
+        assert live.variables() == {0}
     finally:
         prodb_sanitize(previous)
 

@@ -1,7 +1,6 @@
 """Unit tests for repro.core.tid (the TID model and possible worlds)."""
 
 import math
-import random
 
 import pytest
 
@@ -188,14 +187,6 @@ def test_brute_force_probability_disjunction(small_db):
 def test_brute_force_tautology_and_contradiction(small_db):
     assert close(small_db.brute_force_probability(parse("R('a') | ~R('a')")), 1.0)
     assert close(small_db.brute_force_probability(parse("R('a') & ~R('a')")), 0.0)
-
-
-def test_sample_world_distribution(small_db):
-    rng = random.Random(3)
-    hits = sum(
-        1 for _ in range(4000) if ("R", ("a",)) in small_db.sample_world(rng)
-    )
-    assert abs(hits / 4000 - 0.5) < 0.05
 
 
 def test_with_complements():

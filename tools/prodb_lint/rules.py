@@ -320,9 +320,7 @@ class PL004UnseededRandomness(Rule):
     code = "PL004"
     name = "unseeded-randomness"
 
-    _FILES = frozenset(
-        {"src/repro/wmc/sampling.py", "src/repro/wmc/karp_luby.py", "src/repro/mln/sampling.py"}
-    )
+    _FILES = frozenset({"src/repro/wmc/sampling.py", "src/repro/wmc/karp_luby.py"})
 
     def applies(self, relpath: str) -> bool:
         return relpath.startswith("benchmarks/") or relpath in self._FILES
